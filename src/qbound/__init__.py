@@ -15,16 +15,14 @@ from .accinfo import OptResult, maximize_mutual_info, povm_from_vectors, two_sta
 from .bounds import (BoundReport, SaturationFlags, accb_rhs, bound_report,
                      bsub_rhs, dimension_bound, dual_holevo_rhs, eqspec_check,
                      eqx_rhs, saturation_predicates, spectrum_identity_deviation,
-                     sww_rhs, sww_rhs_forms)
+                     sww_rhs)
 from .haarmc import (DistortedMoments, MCEstimate, distorted_moments_mc,
                      distorted_sample, haar_moment_mc, haar_state, haar_unitary,
                      trial_rng, uniform_ensemble_info_exact,
                      uniform_ensemble_info_mc)
 from .infomeasures import (conditional_info_gain, holevo_chi, info_gain_f,
                            mutual_information, shannon, subentropy, von_neumann)
-from .matrixcore import (HermitianEigensystem, commutes, eig_hermitian,
-                         operator_rank, polar_decompose, sqrt_psd,
-                         support_projector)
+from .matrixcore import commutes, operator_rank, sqrt_psd, support_projector
 from .qobjects import (DensityOperator, Ensemble, Measurement, OutcomeAnalysis,
                        apply_measurement, coarse_grain, ensemble_from_json,
                        ensemble_state, ensemble_to_json, matrix_from_json,

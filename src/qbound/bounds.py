@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infomeasures import (conditional_info_gain, holevo_chi, info_gain_f,
+from .infomeasures import (conditional_gains, holevo_chi, info_gain_f,
                            mutual_information, subentropy, von_neumann)
 from .matrixcore import commutes, hermitize, operator_rank, sqrt_psd, support_projector
 from .qobjects import (DensityOperator, Ensemble, Measurement, OutcomeAnalysis,
-                       PROB_FLOOR, apply_measurement, ensemble_state)
+                       PROB_FLOOR, apply_measurement, ensemble_state, entropies)
 
 
 class NotPureEnsembleError(ValueError):
@@ -28,46 +28,50 @@ class LengthMismatchError(ValueError):
     """Parallel argument lists have different lengths."""
 
 
+def _dual_and_spectra(rho: DensityOperator, measurement: Measurement):
+    """The dual bound and the (J, d) ascending spectra of sqrt(rho) E_j
+    sqrt(rho) it is built from."""
+    a = measurement.kraus_stack
+    root = sqrt_psd(rho.matrix)
+    x = hermitize(root @ (a.conj().swapaxes(1, 2) @ a) @ root)
+    q, spectra = np.einsum("jaa->j", x).real, np.linalg.eigvalsh(x)
+    live = q >= PROB_FLOOR
+    s_cond = q[live] @ entropies(spectra[live] / q[live, None])
+    return von_neumann(rho) - float(s_cond), spectra
+
+
 def dual_holevo_rhs(rho: DensityOperator, measurement: Measurement) -> float:
     """Upper bound on the index information for fixed measurement and
     average state: S[rho] - sum_j Q_j S[sqrt(rho) E_j sqrt(rho) / Q_j]."""
     if measurement.dim != rho.dim:
         raise ValueError("dimension mismatch between state and measurement")
-    root = sqrt_psd(rho.matrix)
-    s_cond = 0.0
-    for e in measurement.povm_elements():
-        x = hermitize(root @ e @ root)
-        q = float(np.trace(x).real)
-        if q < PROB_FLOOR:
-            continue
-        s_cond += q * von_neumann(DensityOperator(x / q))
-    return von_neumann(rho) - s_cond
+    return _dual_and_spectra(rho, measurement)[0]
 
 
-def _sww_terms_form(analysis: OutcomeAnalysis) -> float:
+def _sww_terms_form(analysis: OutcomeAnalysis, chi: float) -> float:
     """Four-term form: S[rho] - sum_i P_i S[rho_i]
-    - sum_j Q_j [S[rho'_j] - sum_i P(i|j) S[rho'_ji]], from the raw tables."""
-    ens = analysis.ensemble
-    out = von_neumann(ensemble_state(ens))
-    out -= sum(p * von_neumann(s) for p, s in zip(ens.probs, ens.states) if p > 0.0)
-    for j in analysis.effective_outcomes():
-        inner = von_neumann(analysis.post_states[j])
-        for i in range(ens.size):
-            pij = analysis.posteriors[j, i]
-            if pij >= PROB_FLOOR and analysis.cond_post_states[j][i] is not None:
-                inner -= pij * von_neumann(analysis.cond_post_states[j][i])
-        out -= analysis.outcome_probs[j] * inner
-    return out
+    - sum_j Q_j [S[rho'_j] - sum_i P(i|j) S[rho'_ji]], from the post-state
+    and conditional post-state spectra; ``chi`` supplies the first two terms."""
+    post = analysis.posteriors
+    weights = np.where(post >= PROB_FLOOR, post, 0.0)
+    inner = analysis.post_entropies - (weights * analysis.cond_post_entropies).sum(axis=1)
+    return chi - float(analysis.outcome_probs @ inner)
 
 
-def _sww_chi_form(analysis: OutcomeAnalysis) -> float:
+def _sww_chi_form(analysis: OutcomeAnalysis, chi: float) -> float:
     """Holevo-difference form: chi[ensemble] - sum_j Q_j chi[posterior
-    ensemble j], rebuilding each posterior ensemble from scratch (this
-    cross-validates the mixture identity rho'_j = sum_i P(i|j) rho'_ji)."""
-    out = holevo_chi(analysis.ensemble)
-    for j in analysis.effective_outcomes():
-        out -= analysis.outcome_probs[j] * holevo_chi(analysis.posterior_ensemble(j))
-    return out
+    ensemble j]. Each posterior ensemble's average state is rebuilt from
+    the conditional post states, never read from the post states, which
+    cross-validates the mixture identity rho'_j = sum_i P(i|j) rho'_ji."""
+    live = analysis.effective_outcomes()
+    post = analysis.posteriors[live]
+    keep = (post >= PROB_FLOOR) & (analysis.cond_probs[live] >= PROB_FLOOR)
+    w = np.where(keep, post, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    average = np.einsum("ji,jiab->jab", w, analysis.cond_post_matrices[live])
+    s_members = (w * analysis.cond_post_entropies[live]).sum(axis=1)
+    chis = entropies(np.linalg.eigvalsh(average)) - s_members
+    return chi - float(analysis.outcome_probs[live] @ chis)
 
 
 def sww_rhs(analysis: OutcomeAnalysis, tol: float = 1e-9) -> float:
@@ -78,17 +82,13 @@ def sww_rhs(analysis: OutcomeAnalysis, tol: float = 1e-9) -> float:
     """
     if analysis.coarse:
         raise ValueError("the bound applies to efficient analyses")
-    terms = _sww_terms_form(analysis)
-    chi_form = _sww_chi_form(analysis)
+    chi = holevo_chi(analysis.ensemble)
+    terms = _sww_terms_form(analysis, chi)
+    chi_form = _sww_chi_form(analysis, chi)
     if abs(terms - chi_form) > tol:
         raise AssertionError(
             f"bound evaluation routes disagree: {terms} vs {chi_form}")
     return chi_form
-
-
-def sww_rhs_forms(analysis: OutcomeAnalysis) -> tuple[float, float]:
-    """Both evaluation routes (term form, Holevo-difference form)."""
-    return _sww_terms_form(analysis), _sww_chi_form(analysis)
 
 
 def eqx_rhs(analysis: OutcomeAnalysis) -> float:
@@ -97,13 +97,9 @@ def eqx_rhs(analysis: OutcomeAnalysis) -> float:
     if analysis.coarse:
         raise ValueError("the rewrite applies to efficient analyses")
     ens = analysis.ensemble
-    out = von_neumann(ensemble_state(ens))
-    for i in range(ens.size):
-        if ens.probs[i] > 0.0:
-            out -= ens.probs[i] * conditional_info_gain(analysis, i)
-    for j in analysis.effective_outcomes():
-        out -= analysis.outcome_probs[j] * von_neumann(analysis.post_states[j])
-    return out
+    s_post = analysis.outcome_probs @ analysis.post_entropies
+    gains = ens.probs @ conditional_gains(analysis)
+    return von_neumann(ensemble_state(ens)) - float(gains) - float(s_post)
 
 
 def accb_rhs(acc_total: float, acc_posteriors, outcome_probs) -> float:
@@ -227,18 +223,17 @@ class BoundReport:
         return min(self.slacks.values())
 
 
+def _spectrum_deviation(spectra: np.ndarray, analysis: OutcomeAnalysis) -> float:
+    live = analysis.effective_outcomes()
+    right = analysis.outcome_probs[live, None] * analysis.post_spectra[live]
+    return float(np.max(np.abs(spectra[live] - right), initial=0.0))
+
+
 def spectrum_identity_deviation(rho: DensityOperator, measurement: Measurement,
                                 analysis: OutcomeAnalysis) -> float:
     """Largest per-outcome deviation between the sorted spectra of
     sqrt(rho) E_j sqrt(rho) and Q_j rho'_j."""
-    root = sqrt_psd(rho.matrix)
-    worst = 0.0
-    for j in analysis.effective_outcomes():
-        e = measurement.kraus[j].conj().T @ measurement.kraus[j]
-        left = np.linalg.eigvalsh(hermitize(root @ e @ root))
-        right = analysis.outcome_probs[j] * analysis.post_states[j].eigenvalues
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
+    return _spectrum_deviation(_dual_and_spectra(rho, measurement)[1], analysis)
 
 
 def bound_report(ensemble: Ensemble, measurement: Measurement,
@@ -250,10 +245,11 @@ def bound_report(ensemble: Ensemble, measurement: Measurement,
     info_i = mutual_information(analysis)
     info_f = info_gain_f(analysis)
     chi = holevo_chi(ensemble)
-    dual = dual_holevo_rhs(rho, measurement)
-    sww_terms, sww_chi = sww_rhs_forms(analysis)
+    dual, spectra_dual = _dual_and_spectra(rho, measurement)
+    sww_terms = _sww_terms_form(analysis, chi)
+    sww_chi = _sww_chi_form(analysis, chi)
     eqx = eqx_rhs(analysis)
-    dev = spectrum_identity_deviation(rho, measurement, analysis)
+    dev = _spectrum_deviation(spectra_dual, analysis)
     slacks = {
         "info_i_nonneg": info_i,
         "info_f_minus_info_i": info_f - info_i,

@@ -8,8 +8,9 @@ Subcommands:
 * ``haar``            check the first moment of Haar-state sampling
 
 Reports go to stdout (or ``--out``) as JSON or CSV. The exit code is 0
-iff the scenario recorded zero failures. ``QBOUND_THREADS`` caps the
-worker count used by the Monte Carlo layers.
+iff the scenario recorded zero failures; invalid input (scenario name,
+``--param``, trial count, ``--ensemble`` file) prints ``error: ...``, code 2.
+``QBOUND_THREADS`` caps the worker count used by the Monte Carlo layers.
 """
 
 from __future__ import annotations
@@ -78,26 +79,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidConfigError(f"cannot load {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    params = _parse_params(args.param)
-    if args.command == "verify":
-        name = "bound-chain"
-    elif args.command == "scenario":
-        name = args.name
-    elif args.command == "optimize":
-        name = "optimize"
-        params.setdefault("budget", args.budget)
-        params.setdefault("restarts", args.restarts)
-        if args.outcomes is not None:
-            params.setdefault("outcomes", args.outcomes)
-        if args.ensemble is not None:
-            with open(args.ensemble) as fh:
-                params["ensemble"] = json.load(fh)
-    else:
-        name = "haar"
-
     try:
+        params = _parse_params(args.param)
+        if args.command == "verify":
+            name = "bound-chain"
+        elif args.command == "scenario":
+            name = args.name
+        elif args.command == "optimize":
+            name = "optimize"
+            params.setdefault("budget", args.budget)
+            params.setdefault("restarts", args.restarts)
+            if args.outcomes is not None:
+                params.setdefault("outcomes", args.outcomes)
+            if args.ensemble is not None:
+                params["ensemble"] = _load_json(args.ensemble)
+        else:
+            name = "haar"
         cfg = ScenarioConfig(name=name, dim=args.dim, trials=args.trials,
                              seed=args.seed, tol=args.tol, units=args.units,
                              params=params)

@@ -15,22 +15,14 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .qobjects import (DensityOperator, Ensemble, OutcomeAnalysis, PROB_FLOOR,
-                       ensemble_state)
+from .qobjects import (DensityOperator, Ensemble, InvalidDistributionError,
+                       OutcomeAnalysis, _clean_spectrum, _neg_xlogx, ensemble_state)
 
 # Eigenvalues closer together than this (density-operator scale) are merged
 # into one node and handled with derivative-based divided differences.
 CLUSTER_GAP = 1e-7
 
-# Eigenvalues below this are snapped to exactly zero before renormalizing,
-# so pure spectra become exactly {0, ..., 0, 1}.
-ZERO_SNAP = 1e-12
-
 _MP_DPS = 40
-
-
-class InvalidDistributionError(ValueError):
-    """Probability vector is not a distribution within tolerance."""
 
 
 def shannon(p, tol: float = 1e-9) -> float:
@@ -46,25 +38,9 @@ def shannon(p, tol: float = 1e-9) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def _clean_spectrum(eigs: np.ndarray) -> np.ndarray:
-    """Clip and renormalize a density-operator spectrum.
-
-    Negative roundoff has already been clipped by DensityOperator; here
-    values below ZERO_SNAP become exactly 0 and the rest are rescaled to
-    sum to one. Drift beyond 1e-8 is an error rather than silently fixed.
-    """
-    lam = np.where(eigs < ZERO_SNAP, 0.0, eigs)
-    s = lam.sum()
-    if abs(s - 1.0) > 1e-8:
-        raise InvalidDistributionError(f"spectrum sums to {s}, expected 1")
-    return lam / s
-
-
 def von_neumann(rho: DensityOperator) -> float:
     """Von Neumann entropy S = -Tr rho ln rho in nats."""
-    lam = _clean_spectrum(rho.eigenvalues)
-    pos = lam[lam > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return rho.entropy
 
 
 def _cluster_nodes(lam: np.ndarray) -> np.ndarray:
@@ -94,6 +70,16 @@ def _xn_logx_deriv(n: int, order: int, x, harm) -> mp.mpf:
     return coeff * x ** (n - order) * (mp.ln(x) + harm[n] - harm[n - order])
 
 
+def _table_dps(nodes: np.ndarray) -> int:
+    """Digits for the Newton table: each of its N-1 orders can cancel
+    -log10 g digits across the smallest gap g between distinct nodes."""
+    distinct = np.unique(nodes)
+    if len(distinct) < 2:
+        return _MP_DPS
+    loss = max(0, math.ceil(-math.log10(float(np.min(np.diff(distinct))))))
+    return max(_MP_DPS, 30 + (len(nodes) - 1) * loss)
+
+
 def subentropy(rho: DensityOperator) -> float:
     """Subentropy Q[rho] in nats.
 
@@ -102,15 +88,15 @@ def subentropy(rho: DensityOperator) -> float:
     closed form -sum_k prod_(l!=k)[lam_k/(lam_k-lam_l)] lam_k ln lam_k.
     Eigenvalues closer than CLUSTER_GAP are merged and handled confluently
     (derivative entries in the Newton table). The table is evaluated in
-    fixed high precision to avoid the cancellation the recurrence suffers
-    near clustered spectra.
+    high precision, sized by :func:`_table_dps` to cover the cancellation
+    the recurrence suffers near clustered spectra.
     """
     lam = _clean_spectrum(rho.eigenvalues)
     n = len(lam)
     if n == 1:
         return 0.0
     nodes = _cluster_nodes(lam)
-    with mp.workdps(_MP_DPS):
+    with mp.workdps(_table_dps(nodes)):
         harm = [mp.mpf(0)]
         for m in range(1, n + 1):
             harm.append(harm[-1] + mp.mpf(1) / m)
@@ -135,11 +121,9 @@ def mutual_information(analysis: OutcomeAnalysis) -> float:
     H[P_i] - sum_j Q_j H[P(i|j)], the mutual information between the
     preparation and the (possibly coarse) outcome record.
     """
-    h_prior = shannon(analysis.ensemble.probs)
-    h_post = 0.0
-    for j in analysis.effective_outcomes():
-        h_post += analysis.outcome_probs[j] * shannon(analysis.posteriors[j])
-    return h_prior - h_post
+    live = analysis.effective_outcomes()
+    h_post = analysis.outcome_probs[live] @ _neg_xlogx(analysis.posteriors[live])
+    return shannon(analysis.ensemble.probs) - float(h_post)
 
 
 def info_gain_f(analysis: OutcomeAnalysis) -> float:
@@ -148,30 +132,28 @@ def info_gain_f(analysis: OutcomeAnalysis) -> float:
     S[rho] - sum_j Q_j S[rho'_j]. For coarse analyses the group-averaged
     final states enter, and the result may be negative.
     """
-    rho = ensemble_state(analysis.ensemble)
-    s_post = 0.0
-    for j in analysis.effective_outcomes():
-        s_post += analysis.outcome_probs[j] * von_neumann(analysis.post_states[j])
-    return von_neumann(rho) - s_post
+    s_post = analysis.outcome_probs @ analysis.post_entropies
+    return von_neumann(ensemble_state(analysis.ensemble)) - float(s_post)
+
+
+def conditional_gains(analysis: OutcomeAnalysis) -> np.ndarray:
+    """Conditional info gains of every member, as an (I,) array."""
+    if analysis.coarse:
+        raise ValueError("conditional info gain requires an efficient analysis")
+    s_post = (analysis.cond_probs * analysis.cond_post_entropies).sum(axis=0)
+    return analysis.ensemble.member_entropies - s_post
 
 
 def conditional_info_gain(analysis: OutcomeAnalysis, i: int) -> float:
     """Entropy reduction the measurement would achieve if the preparation
     were known to be member i: S[rho_i] - sum_j Q(j|i) S[rho'_ji]."""
-    if analysis.coarse:
-        raise ValueError("conditional info gain requires an efficient analysis")
-    if not 0 <= i < analysis.ensemble.size:
+    gains = conditional_gains(analysis)
+    if not 0 <= i < len(gains):
         raise IndexError(f"ensemble member {i} out of range")
-    s_post = 0.0
-    for j in range(analysis.n_outcomes):
-        q = analysis.cond_probs[j, i]
-        if q >= PROB_FLOOR:
-            s_post += q * von_neumann(analysis.cond_post_states[j][i])
-    return von_neumann(analysis.ensemble.states[i]) - s_post
+    return float(gains[i])
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
     """Holevo quantity chi = S[rho] - sum_i P_i S[rho_i] in nats."""
-    s_members = sum(p * von_neumann(s)
-                    for p, s in zip(ensemble.probs, ensemble.states) if p > 0.0)
-    return von_neumann(ensemble_state(ensemble)) - s_members
+    s_members = ensemble.probs @ ensemble.member_entropies
+    return von_neumann(ensemble_state(ensemble)) - float(s_members)

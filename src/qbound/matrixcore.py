@@ -8,8 +8,6 @@ absolute thresholds.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-8
@@ -29,11 +27,6 @@ class ZeroOperatorError(ValueError):
     """Operation is undefined for the zero operator."""
 
 
-class HermitianEigensystem(NamedTuple):
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns are eigenvectors
-
-
 def as_square_complex(a) -> np.ndarray:
     """Coerce to a square complex128 array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -50,89 +43,28 @@ def frobenius_scale(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M†)/2."""
-    return (m + m.conj().T) / 2
-
-
-def eig_hermitian(m, tol: float = HERMITIAN_TOL) -> HermitianEigensystem:
-    """Eigendecompose a Hermitian matrix.
-
-    Returns ascending real eigenvalues and a unitary matrix of column
-    eigenvectors. Raises :class:`NotHermitianError` if the input deviates
-    from Hermiticity by more than ``tol`` relative to its Frobenius scale.
-    """
-    m = as_square_complex(m)
-    if np.linalg.norm(m - m.conj().T) > tol * frobenius_scale(m):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return HermitianEigensystem(w, v)
+    """Return the Hermitian part (M + M†)/2, of each matrix in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-tol, 0)`` (relative to Frobenius scale) are treated
-    as roundoff noise and clipped to zero; anything more negative raises
+    Raises :class:`NotHermitianError` if the input deviates from
+    Hermiticity by more than ``tol`` relative to its Frobenius scale.
+    Eigenvalues in ``[-tol, 0)`` (same scale) are treated as roundoff
+    noise and clipped to zero; anything more negative raises
     :class:`NotPSDError`.
     """
-    w, v = eig_hermitian(m, tol=tol)
-    floor = -tol * frobenius_scale(np.asarray(m))
-    if w[0] < floor:
+    m = as_square_complex(m)
+    scale = frobenius_scale(m)
+    if np.linalg.norm(m - m.conj().T) > tol * scale:
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -tol * scale:
         raise NotPSDError(f"eigenvalue {w[0]:.3e} below PSD tolerance")
     w = np.where(w < 0.0, 0.0, w)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
-
-
-def _orthonormal_completion(cols: np.ndarray, dim: int, count: int) -> np.ndarray:
-    """Extend orthonormal columns by Gram-Schmidt over e_1, e_2, ... in order."""
-    basis = [cols[:, k] for k in range(cols.shape[1])]
-    added = []
-    for idx in range(dim):
-        if len(added) == count:
-            break
-        r = np.zeros(dim, dtype=np.complex128)
-        r[idx] = 1.0
-        for _ in range(2):  # two MGS passes for orthogonality at machine precision
-            for b in basis:
-                r = r - b * (b.conj() @ r)
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-6:
-            r = r / nrm
-            basis.append(r)
-            added.append(r)
-    if len(added) != count:
-        raise RuntimeError("orthonormal completion failed")  # unreachable for unitary input
-    return np.column_stack(added)
-
-
-def polar_decompose(a, tol: float = SUPPORT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition A = U P with U unitary and P = sqrt(A†A) PSD.
-
-    For rank-deficient A the unitary factor is completed on the kernel of P
-    deterministically: candidate directions are taken from the standard
-    basis in index order and orthonormalized against the range columns.
-    """
-    a = as_square_complex(a)
-    dim = a.shape[0]
-    wl, s, vh = np.linalg.svd(a)
-    p = hermitize((vh.conj().T * s) @ vh)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(dim, dtype=np.complex128), p
-    keep = s > tol * smax
-    if np.all(keep):
-        return wl @ vh, p
-    # Deterministic kernel completion: both the input directions (kernel of
-    # P) and the output directions (orthogonal complement of the range) are
-    # built by Gram-Schmidt over the standard basis, which depends only on
-    # the retained singular subspaces, not on SVD phase conventions.
-    n_fill = int(np.sum(~keep))
-    w_kept = wl[:, keep]
-    v_kept = vh.conj().T[:, keep]
-    fill_out = _orthonormal_completion(w_kept, dim, n_fill)
-    fill_in = _orthonormal_completion(v_kept, dim, n_fill)
-    u = w_kept @ v_kept.conj().T + fill_out @ fill_in.conj().T
-    return u, p
 
 
 def support_projector(a, tol: float = SUPPORT_TOL) -> np.ndarray:

@@ -41,6 +41,10 @@ NATS_KEYS = frozenset({
 })
 
 
+# Fewest trials the Monte Carlo estimators accept; every scenario needs one.
+_MIN_TRIALS = {"uniform-theorem": 100, "distorted-ensemble": 2, "haar": 2}
+
+
 class UnknownScenarioError(ValueError):
     """Scenario name not present in the registry."""
 
@@ -64,15 +68,22 @@ class ScenarioConfig:
             raise UnknownScenarioError(f"unknown scenario {self.name!r}")
         if self.dim < 2:
             raise InvalidConfigError("dim must be >= 2")
-        if self.trials < 1:
-            raise InvalidConfigError("trials must be >= 1")
+        min_trials = _MIN_TRIALS.get(self.name, 1)
+        if self.trials < min_trials:
+            raise InvalidConfigError(f"{self.name} needs trials >= {min_trials}")
         if not self.tol > 0.0:
             raise InvalidConfigError("tol must be positive")
         if self.units not in ("nats", "bits"):
             raise InvalidConfigError("units must be 'nats' or 'bits'")
 
-    def param(self, key, default):
-        return self.params.get(key, default)
+    def param(self, key, default, kind=None):
+        """Parameter ``key``, converted by ``kind`` (such as ``int``) when given."""
+        value = self.params.get(key, default)
+        try:
+            return value if kind is None else kind(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                f"parameter {key}={value!r} is not a valid {kind.__name__}") from exc
 
 
 @dataclass
@@ -257,7 +268,7 @@ def _sub_seed(rng) -> int:
 
 def _scn_bound_chain(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
-    eq_tol = float(cfg.param("eq_tol", 1e-9))
+    eq_tol = cfg.param("eq_tol", 1e-9, float)
     records = []
     failures = 0
     worst_slack = np.inf
@@ -291,7 +302,7 @@ def _scn_bound_chain(cfg: ScenarioConfig):
 
 def _scn_saturation_classical(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
-    eq_tol = float(cfg.param("eq_tol", 1e-9))
+    eq_tol = cfg.param("eq_tol", 1e-9, float)
     records = []
     failures = 0
     max_eq_dev = 0.0
@@ -327,7 +338,7 @@ def _mc_retry(run, trials, passes):
 
 def _scn_uniform_theorem(cfg: ScenarioConfig):
     povm_kind = cfg.param("povm", "z")
-    n_random = int(cfg.param("n_random", 5))
+    n_random = cfg.param("n_random", 5, int)
     rng = np.random.default_rng(cfg.seed)
     jobs = []
     if povm_kind == "z":
@@ -420,8 +431,8 @@ def _scn_haar(cfg: ScenarioConfig):
 
 def _scn_eqspec_recovery(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
-    opt_budget = int(cfg.param("opt_budget", 2000))
-    opt_restarts = int(cfg.param("opt_restarts", 3))
+    opt_budget = cfg.param("opt_budget", 2000, int)
+    opt_restarts = cfg.param("opt_restarts", 3, int)
     records = []
     failures = 0
 
@@ -449,7 +460,7 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
 
     # Satisfied family: posterior ensembles carry no recoverable index
     # information, and the optimizer respects the support-dimension bound.
-    ens_ok, meas_ok = eqspec_satisfied_family(int(cfg.param("family_states", 3)))
+    ens_ok, meas_ok = eqspec_satisfied_family(cfg.param("family_states", 3, int))
     sat_ok, _ = eqspec_check(ens_ok, meas_ok)
     analysis = apply_measurement(meas_ok, ens_ok)
     posterior_worst = 0.0
@@ -472,8 +483,8 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
 
 
 def _scn_inefficient_violation(cfg: ScenarioConfig):
-    grid = int(cfg.param("grid", 101))
-    eq_tol = float(cfg.param("eq_tol", 1e-9))
+    grid = cfg.param("grid", 101, int)
+    eq_tol = cfg.param("eq_tol", 1e-9, float)
     ens = counterexample_encoding()
     m_z = basis_projectors(2)
     m_x = qubit_x_projectors()
@@ -513,9 +524,9 @@ def _scn_inefficient_violation(cfg: ScenarioConfig):
 
 def _scn_two_state_accinfo(cfg: ScenarioConfig):
     overlaps = cfg.param("overlaps", [float(np.cos(np.pi / 8.0))])
-    budget = int(cfg.param("budget", 20000))
-    restarts = int(cfg.param("restarts", 4))
-    opt_tol = float(cfg.param("opt_tol", 1e-4))
+    budget = cfg.param("budget", 20000, int)
+    restarts = cfg.param("restarts", 4, int)
+    opt_tol = cfg.param("opt_tol", 1e-4, float)
     rng = np.random.default_rng(cfg.seed)
     records = []
     failures = 0
@@ -563,13 +574,16 @@ def _scn_subentropy_corollary(cfg: ScenarioConfig):
 
 
 def _scn_optimize(cfg: ScenarioConfig):
-    budget = int(cfg.param("budget", 4000))
-    restarts = int(cfg.param("restarts", 4))
+    budget = cfg.param("budget", 4000, int)
+    restarts = cfg.param("restarts", 4, int)
     n_outcomes = cfg.param("outcomes", None)
     if cfg.param("ensemble", None) is not None:
-        ens = ensemble_from_json(cfg.params["ensemble"])
+        try:
+            ens = ensemble_from_json(cfg.params["ensemble"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"invalid ensemble: {exc!r}") from exc
     else:
-        n_states = int(cfg.param("n_states", 2))
+        n_states = cfg.param("n_states", 2, int)
         pure = bool(cfg.param("pure", True))
         ens, _ = random_instance(cfg.dim, n_states, 2, pure, cfg.seed)
     opt = maximize_mutual_info(ens, n_outcomes=n_outcomes, budget=budget,

@@ -7,7 +7,7 @@ from qbound.bounds import (LengthMismatchError, NotPureEnsembleError, accb_rhs,
                            bound_report, bsub_rhs, dimension_bound,
                            dual_holevo_rhs, eqspec_check, eqx_rhs,
                            saturation_predicates, spectrum_identity_deviation,
-                           sww_rhs, sww_rhs_forms)
+                           sww_rhs)
 from qbound.infomeasures import (holevo_chi, info_gain_f, mutual_information,
                                  shannon, subentropy)
 from qbound.qobjects import (DensityOperator, Ensemble, Measurement,
@@ -66,9 +66,8 @@ class TestSww:
                                         int(rng.integers(2, 6)),
                                         bool(rng.integers(2)),
                                         int(rng.integers(2 ** 63)))
-            a = apply_measurement(meas, ens)
-            terms, chi_form = sww_rhs_forms(a)
-            assert abs(terms - chi_form) <= 1e-9
+            rep = bound_report(ens, meas)
+            assert abs(rep.sww_alt - rep.sww) <= 1e-9
 
 
 class TestEqx:

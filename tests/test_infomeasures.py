@@ -115,6 +115,15 @@ class TestSubentropy:
                 q = subentropy(DensityOperator(np.diag(lam)))
                 assert abs(q - jrw_nondegenerate(np.sort(lam))) <= 1e-9
 
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_cluster_just_above_merge_gap(self, n):
+        # n-1 eigenvalues spaced 1.5e-7 apart, just above CLUSTER_GAP, so
+        # they stay distinct nodes and each table order cancels ~7 digits
+        lam = [0.05 + k * 1.5e-7 for k in range(n - 1)]
+        lam.append(1.0 - sum(lam))
+        q = subentropy(DensityOperator(np.diag(lam)))
+        assert abs(q - jrw_nondegenerate(sorted(lam), dps=300)) <= 1e-10
+
     def test_embedded_spectrum_unchanged_by_zeros(self):
         # padding with zero eigenvalues does not change the subentropy
         q2 = subentropy(DensityOperator(np.diag([0.4, 0.6])))

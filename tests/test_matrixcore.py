@@ -2,58 +2,15 @@ import numpy as np
 import pytest
 
 from qbound.matrixcore import (NotHermitianError, NotPSDError, ZeroOperatorError,
-                               commutes, eig_hermitian, operator_rank,
-                               polar_decompose, sqrt_psd, support_projector)
+                               commutes, operator_rank, sqrt_psd, support_projector)
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 PLUS_PROJ = np.outer(PLUS, PLUS)
 
 
-def random_hermitian(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
-
-
 def random_psd(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return g @ g.conj().T
-
-
-class TestEigHermitian:
-    def test_diagonal(self):
-        w, v = eig_hermitian(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0])
-        # eigenvectors are a permutation of the identity columns
-        np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_identity(self):
-        w, _ = eig_hermitian(np.eye(3))
-        np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
-
-    def test_two_level_example(self):
-        # oracle: characteristic polynomial, trace 1 and det 1/8
-        m = np.array([[0.75, 0.25], [0.25, 0.25]])
-        disc = np.sqrt(1.0 - 4.0 * (0.75 * 0.25 - 0.25 ** 2))
-        expected = [(1 - disc) / 2, (1 + disc) / 2]
-        w, _ = eig_hermitian(m)
-        np.testing.assert_allclose(w, expected, atol=1e-12)
-        np.testing.assert_allclose(w, [0.146447, 0.853553], atol=1e-6)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 3, 5, 8):
-            for _ in range(20):
-                m = random_hermitian(rng, dim)
-                w, v = eig_hermitian(m)
-                scale = max(1.0, np.linalg.norm(m))
-                assert np.linalg.norm((v * w) @ v.conj().T - m) <= 1e-9 * scale
-                assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-9
-                assert np.all(np.diff(w) >= 0)
-                assert abs(w.sum() - np.trace(m).real) <= 1e-9 * scale
 
 
 class TestSqrtPsd:
@@ -72,6 +29,10 @@ class TestSqrtPsd:
         with pytest.raises(NotPSDError):
             sqrt_psd(np.diag([1.0, -1.0]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     def test_clips_roundoff(self):
         r = sqrt_psd(np.diag([1.0, -5e-9]))
         assert np.linalg.eigvalsh(r)[0] >= 0.0
@@ -89,50 +50,6 @@ class TestSqrtPsd:
                 scale = max(1.0, np.linalg.norm(m))
                 assert np.linalg.norm(r @ r - m) <= 1e-8 * scale
                 assert np.linalg.norm(r - r.conj().T) <= 1e-10 * scale
-
-
-class TestPolarDecompose:
-    def test_unitary_input(self):
-        theta = 0.3
-        a = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]], dtype=complex)
-        u, p = polar_decompose(a)
-        np.testing.assert_allclose(u, a, atol=1e-12)
-        np.testing.assert_allclose(p, np.eye(2), atol=1e-12)
-
-    def test_positive_diagonal(self):
-        u, p = polar_decompose(np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(p, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_nilpotent_completion(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        u, p = polar_decompose(a)
-        np.testing.assert_allclose(p, np.diag([0.0, 1.0]), atol=1e-12)
-        np.testing.assert_allclose(u, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
-        np.testing.assert_allclose(u @ p, a, atol=1e-12)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-    def test_full_rank_unique(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u1, _ = polar_decompose(a)
-        u2, _ = polar_decompose(a.copy())
-        assert np.linalg.norm(u1 - u2) <= 1e-12
-
-    def test_random_and_rank_deficient(self):
-        rng = np.random.default_rng(13)
-        for dim in (2, 3, 5):
-            for deficient in (False, True):
-                for _ in range(10):
-                    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                    if deficient:
-                        a[:, 0] = 0.0
-                    u, p = polar_decompose(a)
-                    scale = max(1.0, np.linalg.norm(a))
-                    assert np.linalg.norm(a - u @ p) <= 1e-8 * scale
-                    assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-8
-                    assert np.linalg.eigvalsh(p)[0] >= -1e-10 * scale
 
 
 class TestSupportProjector:

@@ -160,3 +160,40 @@ def test_cli_haar_and_units(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0].startswith("trials")
+
+
+def _assert_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_optimize_missing_ensemble_file(tmp_path, capsys):
+    code = main(["optimize", "--ensemble", str(tmp_path / "absent.json")])
+    _assert_input_error(code, capsys)
+
+
+def test_cli_optimize_invalid_ensemble_json(tmp_path, capsys):
+    path = tmp_path / "ens.json"
+    path.write_text("{not json")
+    code = main(["optimize", "--ensemble", str(path)])
+    _assert_input_error(code, capsys)
+
+
+def test_cli_optimize_ragged_ensemble(tmp_path, capsys):
+    path = tmp_path / "ens.json"
+    ragged = {"dim": 2, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}
+    path.write_text(json.dumps({"probs": [1.0], "states": [ragged]}))
+    code = main(["optimize", "--ensemble", str(path)])
+    _assert_input_error(code, capsys)
+
+
+def test_cli_non_numeric_param(capsys):
+    code = main(["verify", "--trials", "2", "--param", "eq_tol=abc"])
+    _assert_input_error(code, capsys)
+
+
+def test_cli_haar_single_trial(capsys):
+    code = main(["haar", "--trials", "1"])
+    _assert_input_error(code, capsys)
