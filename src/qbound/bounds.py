@@ -15,7 +15,7 @@ import numpy as np
 
 from .infomeasures import (conditional_gains, holevo_chi, info_gain_f,
                            mutual_information, subentropy, von_neumann)
-from .matrixcore import commutes, hermitize, operator_rank, sqrt_psd, support_projector
+from .matrixcore import HERMITIAN_TOL, hermitize, operator_rank, sqrt_psd, support_projector
 from .qobjects import (DensityOperator, Ensemble, Measurement, OutcomeAnalysis,
                        PROB_FLOOR, apply_measurement, ensemble_state, entropies)
 
@@ -184,22 +184,32 @@ class SaturationFlags:
     rank_one_povm: bool
 
 
+def _all_commute(ops: np.ndarray) -> bool:
+    """True iff all pairs pass ``matrixcore.commutes`` (in squares), a batch per row."""
+    n = len(ops)
+    sq_norms = np.square(ops.reshape(n, -1).view(float)).sum(axis=1)
+    for k in range(n - 1):
+        comm = (ops[k] @ ops[k + 1:] - ops[k + 1:] @ ops[k]).reshape(n - k - 1, -1).view(float)
+        limit = HERMITIAN_TOL ** 2 * np.maximum(1.0, sq_norms[k] * sq_norms[k + 1:])
+        if (np.square(comm).sum(axis=1) > limit).any():
+            return False
+    return True
+
+
 def saturation_predicates(ensemble: Ensemble, measurement: Measurement) -> SaturationFlags:
     """Structural flags tied to saturation of the bounds.
 
     Commuting POVM elements are necessary (not sufficient) for the dual
     bound to be tight; mutually commuting states and Kraus operators make
-    the instance classical.
+    the instance classical. Tolerances are those of ``matrixcore.commutes``
+    and ``matrixcore.operator_rank``.
     """
-    es = measurement.povm_elements()
-    povm_comm = all(commutes(es[a], es[b])
-                    for a in range(len(es)) for b in range(a + 1, len(es)))
-    ops = [s.matrix for s in ensemble.states] + list(measurement.kraus)
-    classical = all(commutes(ops[a], ops[b])
-                    for a in range(len(ops)) for b in range(a + 1, len(ops)))
-    rank_one = all(operator_rank(a) == 1 for a in measurement.kraus)
-    return SaturationFlags(povm_commuting=povm_comm, classical=classical,
-                           pure_ensemble=ensemble.is_pure, rank_one_povm=rank_one)
+    a = measurement.kraus_stack
+    states = np.stack([s.matrix for s in ensemble.states])
+    return SaturationFlags(povm_commuting=_all_commute(a.conj().swapaxes(1, 2) @ a),
+                           classical=_all_commute(np.concatenate([states, a])),
+                           pure_ensemble=ensemble.is_pure,
+                           rank_one_povm=all(operator_rank(x) == 1 for x in a))
 
 
 @dataclass

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .accinfo import maximize_mutual_info, povm_from_vectors, two_state_reference
+from .accinfo import (SearchConfigError, maximize_mutual_info, povm_from_vectors,
+                      two_state_reference)
 from .bounds import (bound_report, dimension_bound, dual_holevo_rhs,
                      eqspec_check, saturation_predicates)
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
@@ -37,7 +38,7 @@ NATS_KEYS = frozenset({
     "min_slack", "eq_dev", "max_eq_dev", "worst_slack",
     "mc_mean", "mc_stderr", "pred", "mc_dev",
     "opt_value", "oracle_value", "opt_dev", "bound", "corollary_lhs",
-    "corollary_slack", "posterior_info", "target", "target_dev",
+    "corollary_slack", "posterior_info", "target", "target_dev", "gap",
 })
 
 
@@ -77,10 +78,11 @@ class ScenarioConfig:
             raise InvalidConfigError("units must be 'nats' or 'bits'")
 
     def param(self, key, default, kind=None):
-        """Parameter ``key``, converted by ``kind`` (such as ``int``) when given."""
+        """Parameter ``key``, converted by ``kind`` (such as ``int``) when
+        given and not None."""
         value = self.params.get(key, default)
         try:
-            return value if kind is None else kind(value)
+            return value if kind is None or value is None else kind(value)
         except (TypeError, ValueError) as exc:
             raise InvalidConfigError(
                 f"parameter {key}={value!r} is not a valid {kind.__name__}") from exc
@@ -138,7 +140,10 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     """Execute one scenario and wrap its records in a Report."""
     cfg.validate()
     t0 = time.perf_counter()
-    records, summary = SCENARIOS[cfg.name](cfg)
+    try:
+        records, summary = SCENARIOS[cfg.name](cfg)
+    except SearchConfigError as exc:  # a search budget, restart or outcome count
+        raise InvalidConfigError(str(exc)) from exc
     walltime_ms = (time.perf_counter() - t0) * 1000.0
     return Report(scenario=cfg.name, config=_pyify(asdict(cfg)),
                   records=_pyify(records), summary=_pyify(summary),
@@ -576,7 +581,7 @@ def _scn_subentropy_corollary(cfg: ScenarioConfig):
 def _scn_optimize(cfg: ScenarioConfig):
     budget = cfg.param("budget", 4000, int)
     restarts = cfg.param("restarts", 4, int)
-    n_outcomes = cfg.param("outcomes", None)
+    n_outcomes = cfg.param("outcomes", None, int)
     if cfg.param("ensemble", None) is not None:
         try:
             ens = ensemble_from_json(cfg.params["ensemble"])
@@ -592,7 +597,9 @@ def _scn_optimize(cfg: ScenarioConfig):
     dual = dual_holevo_rhs(ensemble_state(ens), opt.best_measurement)
     ok = opt.best_value <= chi + cfg.tol and opt.best_value <= dual + cfg.tol
     records = [{"opt_value": opt.best_value, "chi": chi, "dual": dual,
-                "evaluations": opt.trace[-1][0] if opt.trace else 0,
+                "gap": min(chi, dual) - opt.best_value,
+                "evaluations": opt.evaluations,
+                "last_improvement": opt.trace[-1][0] if opt.trace else 0,
                 "measurement": measurement_to_json(opt.best_measurement),
                 "pass": ok}]
     summary = {"instances": 1, "failures": 0 if ok else 1}

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qbound.accinfo import (BudgetTooSmallError, maximize_mutual_info,
-                            povm_from_vectors, two_state_reference)
+from qbound.accinfo import (BudgetTooSmallError, SearchConfigError, _two_state_mi,
+                            maximize_mutual_info, povm_from_vectors,
+                            two_state_reference)
 from qbound.bounds import dual_holevo_rhs
 from qbound.haarmc import haar_state, trial_rng
 from qbound.infomeasures import holevo_chi, shannon, subentropy
@@ -48,6 +52,20 @@ class TestMaximize:
     def test_budget_floor(self):
         with pytest.raises(BudgetTooSmallError):
             maximize_mutual_info(two_state_ensemble(0.5), budget=50)
+
+    @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-1),
+                                        dict(budget=100, restarts=101),
+                                        dict(n_outcomes=1)])
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(SearchConfigError):
+            maximize_mutual_info(two_state_ensemble(0.5), **kwargs)
+
+    def test_evaluations_within_budget(self):
+        for budget, restarts in ((100, 100), (101, 3), (1000, 4)):
+            res = maximize_mutual_info(two_state_ensemble(0.5), budget=budget,
+                                       restarts=restarts, seed=2)
+            assert res.trace[-1][0] <= res.evaluations <= budget
+            assert res.evaluations == (budget // restarts) * restarts
 
     def test_trace_monotone(self):
         res = maximize_mutual_info(two_state_ensemble(0.5), budget=2000,
@@ -108,3 +126,114 @@ class TestTwoStateReference:
         res = maximize_mutual_info(two_state_ensemble(s), budget=16000,
                                    restarts=4, seed=11)
         assert abs(res.best_value - oracle) <= 1e-4
+
+
+def _reference_search(ensemble, n_outcomes, budget, restarts, seed):
+    """The one-candidate-at-a-time coordinate search with a scalar
+    objective, kept here as the schedule the batched search must follow."""
+    def objective(v):
+        s = v.T @ v.conj()
+        w, u = np.linalg.eigh(s)
+        if w[0] <= 1e-10 * w[-1]:
+            return -np.inf
+        wv = v @ ((u / np.sqrt(w)) @ u.conj().T).T
+        cond = np.einsum("ja,iab,jb->ji", wv.conj(), states, wv).real
+        joint = np.clip(cond, 0.0, None) * probs[np.newaxis, :]
+        qj = joint.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_joint = np.where(joint > 0.0, joint * np.log(joint), 0.0).sum()
+            h_q = np.where(qj > 0.0, qj * np.log(qj), 0.0).sum()
+        return shannon(probs) + h_joint - h_q
+
+    probs = ensemble.probs
+    states = np.stack([s.matrix for s in ensemble.states])
+    dim = ensemble.dim
+    best_val, best_v, trace, evals_total = -np.inf, None, [], 0
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        v = (rng.normal(size=(n_outcomes, dim))
+             + 1j * rng.normal(size=(n_outcomes, dim))) / np.sqrt(2)
+        val, evals, step = objective(v), 1, 1.0
+        evals_total += 1
+        if val > best_val:
+            best_val, best_v = val, v.copy()
+            trace.append((evals_total, val))
+        view = v.view(float).reshape(-1)
+        per_restart = budget // restarts
+        while evals < per_restart and step > 1e-9:
+            improved = False
+            for c in range(view.size):
+                if evals >= per_restart:
+                    break
+                for delta in (step, -step):
+                    old = view[c]
+                    view[c] = old + delta
+                    cand = objective(v)
+                    evals += 1
+                    evals_total += 1
+                    if cand > val:
+                        val, improved = cand, True
+                        if val > best_val:
+                            best_val, best_v = val, v.copy()
+                            trace.append((evals_total, val))
+                        break
+                    view[c] = old
+                    if evals >= per_restart:
+                        break
+            if not improved:
+                step *= 0.5
+    return trace, povm_from_vectors(best_v), evals_total
+
+
+def _schedule_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in range(36):
+        dim = 2 + n % 2
+        ens, _ = random_instance(dim, int(rng.integers(2, 4)), 2, bool(n % 4 < 2),
+                                 int(rng.integers(2 ** 62)))
+        k = dim if n % 3 == 0 else dim * dim
+        cases.append((ens, k, (101, 333, 1000)[n % 3], 1 + n % 4, int(rng.integers(1000))))
+    same = Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_state([1, 0])])
+    # the last: sweeps of 4 * 40 * 2 candidates, where windows reach WINDOW_MAX
+    cases += [(same, 4, 333, 2, 5), (same, 2, 101, 1, 6), (same, 40, 1000, 1, 7)]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_schedule_cases())))
+def test_windowed_search_follows_the_one_at_a_time_schedule(case):
+    ens, k, budget, restarts, seed = _schedule_cases()[case]
+    trace, meas, evals = _reference_search(ens, k, budget, restarts, seed)
+    res = maximize_mutual_info(ens, n_outcomes=k, budget=budget,
+                               restarts=restarts, seed=seed)
+    assert [n for n, _ in res.trace] == [n for n, _ in trace]
+    np.testing.assert_allclose([x for _, x in res.trace], [x for _, x in trace],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.best_measurement.kraus_stack, meas.kraus_stack,
+                               rtol=0, atol=1e-12)
+    assert res.evaluations == evals
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.3, math.cos(math.pi / 8), 1.0])
+def test_two_state_sweep_vectorized_equals_scalar_loop(overlap):
+    alpha = math.acos(overlap) / 2.0
+    phis = np.linspace(0.0, np.pi, 10000, endpoint=False)
+    swept = _two_state_mi(phis, alpha)
+    assert np.array_equal(swept, [_two_state_mi(phi, alpha) for phi in phis])
+    # the per-angle formula with Shannon entropies, one angle at a time
+    p_plus, p_minus = np.cos(phis - alpha) ** 2, np.cos(phis + alpha) ** 2
+    for phi, got, a, b in zip(phis[::97], swept[::97], p_plus[::97], p_minus[::97]):
+        h = 0.0
+        for pa, pb in ((a, b), (1.0 - a, 1.0 - b)):
+            q = 0.5 * (pa + pb)
+            if q > 0.0:
+                h += q * shannon([0.5 * pa / q, 0.5 * pb / q])
+        assert abs(got - (math.log(2.0) - h)) <= 1e-15
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, qbound; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,12 +1,20 @@
-"""Property tests of the stacked outcome analysis and the bound chain."""
+"""Property tests of the stacked outcome analysis, the bound chain, the
+subentropy and the saturation flags."""
+
+import math
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qbound.bounds import bound_report
-from qbound.qobjects import (PROB_FLOOR, Ensemble, Measurement, apply_measurement,
-                             coarse_grain, random_instance)
+from qbound.accinfo import povm_from_vectors
+from qbound.bounds import SaturationFlags, bound_report, saturation_predicates
+from qbound.haarmc import haar_unitary
+from qbound.infomeasures import mutual_information, subentropy, von_neumann
+from qbound.matrixcore import commutes, operator_rank
+from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, Measurement,
+                             apply_measurement, coarse_grain, random_instance)
+from qbound.scenarios import random_diagonal_classical
 
 
 @st.composite
@@ -79,12 +87,15 @@ def test_bound_chain_routes_and_slacks(instance):
     assert rep.min_slack() >= -1e-8
 
 
+def draw_groups(data, size):
+    group_of = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    return [[l for l, g in enumerate(group_of) if g == k] for k in sorted(set(group_of))]
+
+
 @given(instances(), st.data())
 def test_coarse_grain_sums_its_groups(instance, data):
     ens, meas = instance
-    group_of = data.draw(st.lists(st.integers(0, 2), min_size=meas.size,
-                                  max_size=meas.size))
-    groups = [[l for l, g in enumerate(group_of) if g == k] for k in sorted(set(group_of))]
+    groups = draw_groups(data, meas.size)
     fine = apply_measurement(meas, ens)
     coarse = coarse_grain(Measurement(meas.kraus, groups=groups), ens)
     for k, group in enumerate(groups):
@@ -93,3 +104,94 @@ def test_coarse_grain_sums_its_groups(instance, data):
         if q >= PROB_FLOOR:
             state = sum(fine.outcome_probs[l] * fine.post_matrices[l] for l in group)
             np.testing.assert_allclose(coarse.post_states[k].matrix * q, state, atol=1e-12)
+
+
+@given(instances(), st.data())
+def test_coarse_graining_loses_index_information(instance, data):
+    ens, meas = instance
+    groups = draw_groups(data, meas.size)
+    fine = mutual_information(apply_measurement(meas, ens))
+    coarse = mutual_information(coarse_grain(Measurement(meas.kraus, groups=groups), ens))
+    assert coarse <= fine + 1e-9
+
+
+@given(instances(), st.integers(0, 2 ** 32 - 1))
+def test_invariant_under_a_global_unitary(instance, seed):
+    ens, meas = instance
+    u = haar_unitary(ens.dim, np.random.default_rng(seed))
+    turned = bound_report(Ensemble(ens.probs, [u @ s.matrix @ u.conj().T for s in ens.states]),
+                          Measurement([u @ a @ u.conj().T for a in meas.kraus]))
+    rep = bound_report(ens, meas)
+    for key in ("info_i", "info_f", "chi", "dual", "sww", "sww_alt", "eqx"):
+        assert abs(getattr(turned, key) - getattr(rep, key)) <= 1e-9, key
+    assert turned.flags == rep.flags
+
+
+@st.composite
+def density_operators(draw):
+    """States of dims 2-6 whose spectra may repeat, nearly repeat (gap 1e-7,
+    the subentropy cluster scale) or contain zeros."""
+    dim = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0 + 1e-7, 2.0, 3.5]),
+                            min_size=dim, max_size=dim).filter(lambda w: sum(w) > 0))
+    u = haar_unitary(dim, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    return DensityOperator((u * (np.array(weights) / sum(weights))) @ u.conj().T)
+
+
+@given(density_operators())
+def test_subentropy_is_bounded_by_the_maximally_mixed_value_and_the_entropy(rho):
+    # 0 <= Q[rho] <= Q[I/N] <= ln N and Q[rho] <= S[rho]; Q[I/N] <= S[rho]
+    # itself fails for pure states, where S[rho] = 0.
+    n = rho.dim
+    q_max = math.log(n) - sum(1.0 / k for k in range(2, n + 1))
+    q = subentropy(rho)
+    assert abs(subentropy(DensityOperator(np.eye(n) / n)) - q_max) <= 1e-12
+    assert -1e-12 <= q <= q_max + 1e-12
+    assert q_max <= math.log(n)
+    assert q <= von_neumann(rho) + 1e-12
+
+
+def per_pair_flags(ens, meas):
+    """Saturation flags from one ``commutes``/``operator_rank`` call per
+    pair or operator."""
+    def pairwise(ops):
+        return all(commutes(x, y) for k, x in enumerate(ops) for y in ops[k + 1:])
+
+    povm = [a.conj().T @ a for a in meas.kraus]
+    return SaturationFlags(
+        povm_commuting=pairwise(povm),
+        classical=pairwise([s.matrix for s in ens.states] + list(meas.kraus)),
+        pure_ensemble=ens.is_pure,
+        rank_one_povm=all(operator_rank(a) == 1 for a in meas.kraus))
+
+
+@st.composite
+def flag_instances(draw):
+    """Generic instances, classical (diagonal) ones, classical ones with
+    the first state turned by an angle near the commutation tolerance, and
+    rank-one POVMs, some of them projective in the computational basis."""
+    kind = draw(st.sampled_from(["generic", "classical", "near-classical", "rank-one"]))
+    if kind == "generic":
+        return draw(instances())
+    dim = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "classical":
+        return random_diagonal_classical(dim, seed)
+    if kind == "near-classical":
+        ens, meas = random_diagonal_classical(dim, seed)
+        angle = draw(st.sampled_from([1e-10, 3e-9, 3e-8, 1e-6]))
+        turn = np.eye(dim)
+        turn[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        first = turn @ ens.states[0].matrix @ turn.T
+        return Ensemble(ens.probs, [first] + [s.matrix for s in ens.states[1:]]), meas
+    ens, _ = random_instance(dim, draw(st.integers(1, 4)), 2, draw(st.booleans()), seed)
+    if draw(st.booleans()):
+        return ens, povm_from_vectors(np.eye(dim))
+    g = np.random.default_rng(seed).normal(size=(draw(st.integers(dim, dim * dim)), dim, 2))
+    return ens, povm_from_vectors(g[..., 0] + 1j * g[..., 1])
+
+
+@given(flag_instances())
+def test_saturation_flags_match_per_pair_checks(instance):
+    ens, meas = instance
+    assert saturation_predicates(ens, meas) == per_pair_flags(ens, meas)

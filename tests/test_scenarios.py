@@ -197,3 +197,32 @@ def test_cli_non_numeric_param(capsys):
 def test_cli_haar_single_trial(capsys):
     code = main(["haar", "--trials", "1"])
     _assert_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("args", [["--budget", "50"], ["--outcomes", "1"],
+                                  ["--restarts", "0"],
+                                  ["--restarts", "5000", "--budget", "100"]])
+def test_cli_optimize_bad_search_arguments(args, capsys):
+    code = main(["optimize"] + args)
+    _assert_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("two-state-accinfo", {"restarts": 0}),
+    ("eqspec-recovery", {"opt_budget": 50}),
+    ("eqspec-recovery", {"opt_restarts": 0}),
+])
+def test_search_scenarios_reject_bad_search_arguments(name, params):
+    with pytest.raises(InvalidConfigError):
+        run_scenario(small_config(name, params=params))
+
+
+def test_optimize_record_reports_search_diagnostics():
+    report = run_scenario(small_config("optimize"))
+    rec = report.records[0]
+    assert rec["last_improvement"] <= rec["evaluations"] <= 400
+    assert rec["gap"] == min(rec["chi"], rec["dual"]) - rec["opt_value"]
+    assert rec["gap"] >= -1e-8
+    bits = report.to_dict(units="bits")["records"][0]
+    assert bits["gap"] == rec["gap"] / math.log(2)
+    assert bits["evaluations"] == rec["evaluations"]
