@@ -13,7 +13,7 @@ All information quantities are in nats.
 
 from .accinfo import OptResult, maximize_mutual_info, povm_from_vectors, two_state_reference
 from .bounds import (BoundReport, SaturationFlags, accb_rhs, bound_report,
-                     bsub_rhs, dimension_bound, dual_holevo_rhs, eqspec_check,
+                     bound_reports, bsub_rhs, dimension_bound, dual_holevo_rhs, eqspec_check,
                      eqx_rhs, saturation_predicates, spectrum_identity_deviation,
                      sww_rhs)
 from .haarmc import (DistortedMoments, MCEstimate, distorted_moments_mc,

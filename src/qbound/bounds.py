@@ -5,6 +5,8 @@ Each evaluator returns nats. ``bound_report`` bundles every quantity for
 one (ensemble, measurement) instance, including the per-outcome spectrum
 agreement between sqrt(rho) E_j sqrt(rho) and Q_j rho'_j that underlies
 the equality of the dual bound with the entropy-reduction gain.
+``bound_reports`` evaluates many instances as one stack, so each numpy or
+LAPACK call serves them all; the per-instance evaluators are stacks of one.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infomeasures import (conditional_gains, holevo_chi, info_gain_f,
-                           mutual_information, subentropy, von_neumann)
-from .matrixcore import HERMITIAN_TOL, hermitize, operator_rank, sqrt_psd, support_projector
-from .qobjects import (DensityOperator, Ensemble, Measurement, OutcomeAnalysis,
-                       PROB_FLOOR, apply_measurement, ensemble_state, entropies)
+from .infomeasures import _conditional_gains, holevo_chi, subentropy, von_neumann
+from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, sqrt_psd,
+                         support_projector)
+from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
+                       Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
+                       _conjugations, _dot, _member_sums, _mixtures, _neg_xlogx,
+                       _outcome_stack, ensemble_state, entropies)
 
 
 class NotPureEnsembleError(ValueError):
@@ -28,16 +32,23 @@ class LengthMismatchError(ValueError):
     """Parallel argument lists have different lengths."""
 
 
-def _dual_and_spectra(rho: DensityOperator, measurement: Measurement):
-    """The dual bound and the (J, d) ascending spectra of sqrt(rho) E_j
-    sqrt(rho) it is built from."""
-    a = measurement.kraus_stack
-    root = sqrt_psd(rho.matrix)
-    x = hermitize(root @ (a.conj().swapaxes(1, 2) @ a) @ root)
-    q, spectra = np.einsum("jaa->j", x).real, np.linalg.eigvalsh(x)
+def _povm(kraus: np.ndarray) -> np.ndarray:
+    """POVM elements E_j = A_j† A_j of a (..., J, d, d) Kraus stack."""
+    return kraus.conj().swapaxes(-1, -2) @ kraus
+
+
+def _dual_and_spectra(rho: np.ndarray, s_rho, povm: np.ndarray):
+    """The dual bound of K instances from their (K, d, d) average states,
+    its entropies and (K, J, d, d) POVM elements, with the (K, J, d)
+    spectra of sqrt(rho) E_j sqrt(rho) it is built from (0 below the floor)."""
+    root = sqrt_psd(rho)[:, None]
+    x = hermitize(root @ povm @ root)
+    q = np.ascontiguousarray(np.einsum("kjaa->kj", x).real)  # unit stride for BLAS dot
     live = q >= PROB_FLOOR
-    s_cond = q[live] @ entropies(spectra[live] / q[live, None])
-    return von_neumann(rho) - float(s_cond), spectra
+    spectra = np.zeros(x.shape[:-1])
+    spectra[live] = np.linalg.eigvalsh(x[live])
+    s_cond = entropies(spectra / np.where(live, q, 1.0)[..., None], where=live)
+    return s_rho - _dot(q, s_cond), spectra
 
 
 def dual_holevo_rhs(rho: DensityOperator, measurement: Measurement) -> float:
@@ -45,33 +56,34 @@ def dual_holevo_rhs(rho: DensityOperator, measurement: Measurement) -> float:
     average state: S[rho] - sum_j Q_j S[sqrt(rho) E_j sqrt(rho) / Q_j]."""
     if measurement.dim != rho.dim:
         raise ValueError("dimension mismatch between state and measurement")
-    return _dual_and_spectra(rho, measurement)[0]
+    return float(_dual_and_spectra(rho.matrix[None], rho.entropy,
+                                   _povm(measurement.kraus_stack[None]))[0][0])
 
 
-def _sww_terms_form(analysis: OutcomeAnalysis, chi: float) -> float:
+def _sww_terms_form(stack: dict, chi):
     """Four-term form: S[rho] - sum_i P_i S[rho_i]
     - sum_j Q_j [S[rho'_j] - sum_i P(i|j) S[rho'_ji]], from the post-state
     and conditional post-state spectra; ``chi`` supplies the first two terms."""
-    post = analysis.posteriors
+    post = stack["posteriors"]
     weights = np.where(post >= PROB_FLOOR, post, 0.0)
-    inner = analysis.post_entropies - (weights * analysis.cond_post_entropies).sum(axis=1)
-    return chi - float(analysis.outcome_probs @ inner)
+    inner = stack["post_entropies"] - (weights * stack["cond_post_entropies"]).sum(axis=-1)
+    return chi - _dot(stack["outcome_probs"], inner)
 
 
-def _sww_chi_form(analysis: OutcomeAnalysis, chi: float) -> float:
+def _sww_chi_form(stack: dict, chi):
     """Holevo-difference form: chi[ensemble] - sum_j Q_j chi[posterior
     ensemble j]. Each posterior ensemble's average state is rebuilt from
     the conditional post states, never read from the post states, which
     cross-validates the mixture identity rho'_j = sum_i P(i|j) rho'_ji."""
-    live = analysis.effective_outcomes()
-    post = analysis.posteriors[live]
-    keep = (post >= PROB_FLOOR) & (analysis.cond_probs[live] >= PROB_FLOOR)
-    w = np.where(keep, post, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    average = np.einsum("ji,jiab->jab", w, analysis.cond_post_matrices[live])
-    s_members = (w * analysis.cond_post_entropies[live]).sum(axis=1)
-    chis = entropies(np.linalg.eigvalsh(average)) - s_members
-    return chi - float(analysis.outcome_probs[live] @ chis)
+    live = stack["outcome_probs"] >= PROB_FLOOR
+    post = stack["posteriors"]
+    w = np.where((post >= PROB_FLOOR) & (stack["cond_probs"] >= PROB_FLOOR), post, 0.0)
+    w /= np.where(live, w.sum(axis=-1), 1.0)[..., None]
+    average = _member_sums(w, stack["cond_post_matrices"], stack["exists"])
+    chis = np.zeros(live.shape)
+    chis[live] = (entropies(np.linalg.eigvalsh(average[live]))
+                  - (w * stack["cond_post_entropies"]).sum(axis=-1)[live])
+    return chi - _dot(stack["outcome_probs"], chis)
 
 
 def sww_rhs(analysis: OutcomeAnalysis, tol: float = 1e-9) -> float:
@@ -83,12 +95,17 @@ def sww_rhs(analysis: OutcomeAnalysis, tol: float = 1e-9) -> float:
     if analysis.coarse:
         raise ValueError("the bound applies to efficient analyses")
     chi = holevo_chi(analysis.ensemble)
-    terms = _sww_terms_form(analysis, chi)
-    chi_form = _sww_chi_form(analysis, chi)
+    terms = float(_sww_terms_form(analysis._stack, chi)[0])
+    chi_form = float(_sww_chi_form(analysis._stack, chi)[0])
     if abs(terms - chi_form) > tol:
         raise AssertionError(
             f"bound evaluation routes disagree: {terms} vs {chi_form}")
     return chi_form
+
+
+def _eqx(stack: dict, s_rho, probs, member_entropies):
+    gains = _conditional_gains(member_entropies, stack["cond_probs"], stack["cond_post_entropies"])
+    return s_rho - _dot(probs, gains) - _dot(stack["outcome_probs"], stack["post_entropies"])
 
 
 def eqx_rhs(analysis: OutcomeAnalysis) -> float:
@@ -97,9 +114,8 @@ def eqx_rhs(analysis: OutcomeAnalysis) -> float:
     if analysis.coarse:
         raise ValueError("the rewrite applies to efficient analyses")
     ens = analysis.ensemble
-    s_post = analysis.outcome_probs @ analysis.post_entropies
-    gains = ens.probs @ conditional_gains(analysis)
-    return von_neumann(ensemble_state(ens)) - float(gains) - float(s_post)
+    return float(_eqx(analysis._stack, von_neumann(ensemble_state(ens)), ens.probs,
+                      ens.member_entropies)[0])
 
 
 def accb_rhs(acc_total: float, acc_posteriors, outcome_probs) -> float:
@@ -184,16 +200,64 @@ class SaturationFlags:
     rank_one_povm: bool
 
 
-def _all_commute(ops: np.ndarray) -> bool:
-    """True iff all pairs pass ``matrixcore.commutes`` (in squares), a batch per row."""
-    n = len(ops)
-    sq_norms = np.square(ops.reshape(n, -1).view(float)).sum(axis=1)
-    for k in range(n - 1):
-        comm = (ops[k] @ ops[k + 1:] - ops[k + 1:] @ ops[k]).reshape(n - k - 1, -1).view(float)
-        limit = HERMITIAN_TOL ** 2 * np.maximum(1.0, sq_norms[k] * sq_norms[k + 1:])
-        if (np.square(comm).sum(axis=1) > limit).any():
-            return False
-    return True
+def _all_commute(ops: np.ndarray) -> np.ndarray:
+    """(K,) flags: whether each instance's (N, d, d) operators pass
+    ``matrixcore.commutes`` pairwise (squared norms compared). Neighbours
+    are checked first, where generic instances fail, then the rest of each
+    row, each step only for the instances that still commute; zero
+    (padded) operators commute with everything."""
+    n_inst, n = ops.shape[:2]
+    sq_norms = np.einsum("knx,knx->kn", *(ops.reshape(n_inst, n, -1).view(float),) * 2)
+    alive = np.arange(n_inst)
+    steps = [(k, k + 1, k + 2) for k in range(n - 1)] + [(k, k + 2, n) for k in range(n - 2)]
+    for k, lo, hi in steps:
+        x, rest = ops[:, k, None], ops[:, lo:hi]
+        comm = x @ rest
+        comm -= rest @ x
+        flat = comm.reshape(len(alive), hi - lo, -1).view(float)
+        limit = HERMITIAN_TOL ** 2 * np.maximum(1.0, sq_norms[:, k, None] * sq_norms[:, lo:hi])
+        passed = (np.einsum("kjx,kjx->kj", flat, flat) <= limit).all(axis=-1)
+        alive, ops, sq_norms = alive[passed], ops[passed], sq_norms[passed]
+        if not alive.size:
+            break
+    return np.isin(np.arange(n_inst), alive)
+
+
+def _padded(instances):
+    """Zero-padded stacks of K instances on one space: probabilities (K, I),
+    states (K, I, d, d), their spectra (K, I, d), Kraus operators
+    (K, J, d, d), and the masks of the members and outcomes that exist."""
+    dim = instances[0][0].dim
+    if any(e.dim != dim or m.dim != dim for e, m in instances):
+        raise DimensionMismatchError("ensembles and measurements must share one dimension")
+    n_mem = np.array([e.size for e, _ in instances])
+    n_out = np.array([m.size for _, m in instances])
+    probs = np.zeros((len(instances), n_mem.max()))
+    states = np.zeros(probs.shape + (dim, dim), dtype=np.complex128)
+    spectra = np.zeros(probs.shape + (dim,))
+    kraus = np.zeros((len(instances), n_out.max(), dim, dim), dtype=np.complex128)
+    for k, (e, m) in enumerate(instances):
+        probs[k, :e.size] = e.probs
+        states[k, :e.size] = [s.matrix for s in e.states]
+        spectra[k, :e.size] = [s.eigenvalues for s in e.states]
+        kraus[k, :m.size] = m.kraus_stack
+    return (probs, states, spectra, kraus, np.arange(probs.shape[1]) < n_mem[:, None],
+            np.arange(kraus.shape[1]) < n_out[:, None])
+
+
+def _flags(batch, povm: np.ndarray | None = None) -> list[SaturationFlags]:
+    """Saturation flags of a ``_padded`` batch (with its POVM elements, if
+    formed already); the ranks come from one batched singular-value call
+    over the outcomes that exist."""
+    _, states, spectra, kraus, members, outcomes = batch
+    povm = _povm(kraus) if povm is None else povm
+    s = np.linalg.svd(kraus[outcomes], compute_uv=False)
+    rank_one = np.ones(outcomes.shape, dtype=bool)
+    rank_one[outcomes] = (s > SUPPORT_TOL * s[:, :1]).sum(axis=-1) == 1
+    pure = (spectra[..., -1] >= 1.0 - PURITY_TOL) | ~members
+    return [SaturationFlags(*f) for f in zip(
+        _all_commute(povm).tolist(), _all_commute(np.concatenate([states, kraus], 1)).tolist(),
+        pure.all(axis=-1).tolist(), rank_one.all(axis=-1).tolist())]
 
 
 def saturation_predicates(ensemble: Ensemble, measurement: Measurement) -> SaturationFlags:
@@ -204,12 +268,7 @@ def saturation_predicates(ensemble: Ensemble, measurement: Measurement) -> Satur
     the instance classical. Tolerances are those of ``matrixcore.commutes``
     and ``matrixcore.operator_rank``.
     """
-    a = measurement.kraus_stack
-    states = np.stack([s.matrix for s in ensemble.states])
-    return SaturationFlags(povm_commuting=_all_commute(a.conj().swapaxes(1, 2) @ a),
-                           classical=_all_commute(np.concatenate([states, a])),
-                           pure_ensemble=ensemble.is_pure,
-                           rank_one_povm=all(operator_rank(x) == 1 for x in a))
+    return _flags(_padded([(ensemble, measurement)]))[0]
 
 
 @dataclass
@@ -233,42 +292,66 @@ class BoundReport:
         return min(self.slacks.values())
 
 
-def _spectrum_deviation(spectra: np.ndarray, analysis: OutcomeAnalysis) -> float:
-    live = analysis.effective_outcomes()
-    right = analysis.outcome_probs[live, None] * analysis.post_spectra[live]
-    return float(np.max(np.abs(spectra[live] - right), initial=0.0))
+def _spectrum_deviation(spectra: np.ndarray, stack: dict) -> np.ndarray:
+    live = (stack["outcome_probs"] >= PROB_FLOOR)[..., None]
+    right = stack["outcome_probs"][..., None] * stack["post_spectra"]
+    return np.where(live, np.abs(spectra - right), 0.0).max(axis=(-2, -1), initial=0.0)
 
 
 def spectrum_identity_deviation(rho: DensityOperator, measurement: Measurement,
                                 analysis: OutcomeAnalysis) -> float:
     """Largest per-outcome deviation between the sorted spectra of
     sqrt(rho) E_j sqrt(rho) and Q_j rho'_j."""
-    return _spectrum_deviation(_dual_and_spectra(rho, measurement)[1], analysis)
+    spectra = _dual_and_spectra(rho.matrix[None], rho.entropy,
+                                _povm(measurement.kraus_stack[None]))[1]
+    return float(_spectrum_deviation(spectra, analysis._stack)[0])
+
+
+def _reports(instances, seeds, stack=None) -> list[BoundReport]:
+    """The stacked kernel: the ``BoundReport`` of K instances on one space.
+    Their ``_outcome_stack``, unless given, is built last, so that the other
+    temporaries never sit on top of it."""
+    batch = _padded(instances)
+    probs, states, spectra, kraus, members, outcomes = batch
+    rho = _mixtures(probs, states)
+    s_rho = entropies(_checked_spectra(rho))
+    s_members = entropies(spectra, where=members)
+    chi = s_rho - _dot(probs, s_members)
+    povm = _povm(kraus)
+    dual, spectra_dual = _dual_and_spectra(rho, s_rho, povm)
+    flags = _flags(batch, povm)
+    del batch, states, kraus, povm  # free the padded operator stacks before the pairs
+    if stack is None:
+        stack = _outcome_stack(probs, np.concatenate([
+            hermitize(_conjugations(m, e)).reshape((-1,) + rho.shape[1:]) for e, m in instances]),
+            outcomes[:, :, None] & members[:, None, :])
+    info_i = _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
+    info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+    columns = zip(seeds, info_i.tolist(), info_f.tolist(), chi.tolist(), dual.tolist(),
+                  _sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist(),
+                  _eqx(stack, s_rho, probs, s_members).tolist(),
+                  _spectrum_deviation(spectra_dual, stack).tolist(), flags)
+    return [BoundReport(dim=rho.shape[-1], seed=seed, info_i=i, info_f=f, chi=c, dual=d,
+                        sww=sww, sww_alt=alt, eqx=eqx, spectrum_identity_dev=dev, flags=flag,
+                        slacks={"info_i_nonneg": i, "info_f_minus_info_i": f - i,
+                                "sww_minus_info_i": sww - i, "chi_minus_sww": c - sww,
+                                "dual_minus_info_i": d - i})
+            for seed, i, f, c, d, sww, alt, eqx, dev, flag in columns]
+
+
+def bound_reports(instances, seeds=None) -> list[BoundReport]:
+    """``bound_report`` of every (ensemble, measurement) pair, all on one
+    space, evaluated as one stacked batch; ``seeds`` label the reports."""
+    instances = list(instances)
+    seeds = [None] * len(instances) if seeds is None else list(seeds)
+    if len(seeds) != len(instances):
+        raise LengthMismatchError("bound_reports needs one seed per instance")
+    return _reports(instances, seeds) if instances else []
 
 
 def bound_report(ensemble: Ensemble, measurement: Measurement,
                  seed=None, analysis: OutcomeAnalysis | None = None) -> BoundReport:
-    """Evaluate the full chain of quantities and bounds for one instance."""
-    if analysis is None:
-        analysis = apply_measurement(measurement, ensemble)
-    rho = ensemble_state(ensemble)
-    info_i = mutual_information(analysis)
-    info_f = info_gain_f(analysis)
-    chi = holevo_chi(ensemble)
-    dual, spectra_dual = _dual_and_spectra(rho, measurement)
-    sww_terms = _sww_terms_form(analysis, chi)
-    sww_chi = _sww_chi_form(analysis, chi)
-    eqx = eqx_rhs(analysis)
-    dev = _spectrum_deviation(spectra_dual, analysis)
-    slacks = {
-        "info_i_nonneg": info_i,
-        "info_f_minus_info_i": info_f - info_i,
-        "sww_minus_info_i": sww_chi - info_i,
-        "chi_minus_sww": chi - sww_chi,
-        "dual_minus_info_i": dual - info_i,
-    }
-    return BoundReport(dim=ensemble.dim, seed=seed, info_i=info_i, info_f=info_f,
-                       chi=chi, dual=dual, sww=sww_chi, sww_alt=sww_terms,
-                       eqx=eqx, spectrum_identity_dev=dev,
-                       flags=saturation_predicates(ensemble, measurement),
-                       slacks=slacks)
+    """Evaluate the full chain of quantities and bounds for one instance,
+    as a batch of one that reuses ``analysis`` of this instance if given."""
+    stack = None if analysis is None else analysis._stack
+    return _reports([(ensemble, measurement)], [seed], stack)[0]

@@ -95,7 +95,7 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int,
     if trials < 100:
         raise ValueError("need at least 100 trials")
     dim = measurement.dim
-    es = np.stack(measurement.povm_elements())
+    es = measurement.kraus_stack.conj().swapaxes(1, 2) @ measurement.kraus_stack
     q = np.real(np.trace(es, axis1=1, axis2=2)) / dim
     h_prior = shannon(q)
 

@@ -136,18 +136,18 @@ def info_gain_f(analysis: OutcomeAnalysis) -> float:
     return von_neumann(ensemble_state(analysis.ensemble)) - float(s_post)
 
 
-def conditional_gains(analysis: OutcomeAnalysis) -> np.ndarray:
-    """Conditional info gains of every member, as an (I,) array."""
-    if analysis.coarse:
-        raise ValueError("conditional info gain requires an efficient analysis")
-    s_post = (analysis.cond_probs * analysis.cond_post_entropies).sum(axis=0)
-    return analysis.ensemble.member_entropies - s_post
+def _conditional_gains(member_entropies, cond_probs, cond_post_entropies):
+    """Conditional info gains of every member, of one instance or a stack."""
+    return member_entropies - (cond_probs * cond_post_entropies).sum(axis=-2)
 
 
 def conditional_info_gain(analysis: OutcomeAnalysis, i: int) -> float:
     """Entropy reduction the measurement would achieve if the preparation
     were known to be member i: S[rho_i] - sum_j Q(j|i) S[rho'_ji]."""
-    gains = conditional_gains(analysis)
+    if analysis.coarse:
+        raise ValueError("conditional info gain requires an efficient analysis")
+    gains = _conditional_gains(analysis.ensemble.member_entropies, analysis.cond_probs,
+                               analysis.cond_post_entropies)
     if not 0 <= i < len(gains):
         raise IndexError(f"ensemble member {i} out of range")
     return float(gains[i])

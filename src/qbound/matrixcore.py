@@ -27,19 +27,15 @@ class ZeroOperatorError(ValueError):
     """Operation is undefined for the zero operator."""
 
 
-def as_square_complex(a) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+def as_square_complex(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex128 array, or with ``stack`` to a
+    (..., d, d) stack of them, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def frobenius_scale(m: np.ndarray) -> float:
-    """Frobenius norm floored at 1, the reference scale for tolerances."""
-    return max(1.0, float(np.linalg.norm(m)))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -48,23 +44,25 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each
+    matrix of a (..., d, d) stack.
 
-    Raises :class:`NotHermitianError` if the input deviates from
+    Raises :class:`NotHermitianError` if an input deviates from
     Hermiticity by more than ``tol`` relative to its Frobenius scale.
     Eigenvalues in ``[-tol, 0)`` (same scale) are treated as roundoff
     noise and clipped to zero; anything more negative raises
     :class:`NotPSDError`.
     """
-    m = as_square_complex(m)
-    scale = frobenius_scale(m)
-    if np.linalg.norm(m - m.conj().T) > tol * scale:
+    m = as_square_complex(m, stack=True)
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if not (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale).all():
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
-    if w[0] < -tol * scale:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below PSD tolerance")
+    low = w[..., 0] < -tol * scale
+    if low.any():
+        raise NotPSDError(f"eigenvalue {w[..., 0][low].min():.3e} below PSD tolerance")
     w = np.where(w < 0.0, 0.0, w)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def support_projector(a, tol: float = SUPPORT_TOL) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrixcore import as_square_complex, frobenius_scale, hermitize
+from .matrixcore import as_square_complex, hermitize
 
 # Outcomes with probability below this are kept in the records but carry
 # zero weight: no posterior state is formed and entropy averages skip them.
@@ -49,6 +49,11 @@ def _neg_xlogx(p: np.ndarray) -> np.ndarray:
     return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, stacked, by the BLAS dot of ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _clean_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Clip and renormalize density-operator spectra along the last axis.
 
@@ -74,28 +79,36 @@ def entropies(spectra, where=None) -> np.ndarray:
     return out
 
 
+def _checked_spectra(m: np.ndarray) -> np.ndarray:
+    """Spectra (ascending, negative roundoff clipped) of a (n, d, d) stack of
+    density operators, each checked to be Hermitian and positive within 1e-8
+    of its Frobenius norm (floored at 1) and of unit trace within 1e-8."""
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))
+    if not (np.linalg.norm(m - m.conj().swapaxes(1, 2), axis=(1, 2)) <= 1e-8 * scale).all():
+        raise ValueError("density operator must be Hermitian")
+    trace = np.trace(m, axis1=1, axis2=2)
+    if not ((abs(trace.real - 1.0) <= 1e-8) & (abs(trace.imag) <= 1e-8)).all():
+        raise ValueError(f"density operator must have unit trace, got {trace}")
+    eigenvalues = np.linalg.eigvalsh(m)
+    if not (eigenvalues[:, 0] >= -1e-8 * scale).all():
+        raise ValueError(f"density operator has eigenvalue {eigenvalues.min():.3e} < -1e-8")
+    return np.where(eigenvalues < 0.0, 0.0, eigenvalues)
+
+
 class DensityOperator:
     """A positive semidefinite, unit-trace operator."""
 
     __slots__ = ("_matrix", "_eigenvalues", "_entropy")
 
     def __init__(self, matrix):
-        m = as_square_complex(matrix)
-        scale = frobenius_scale(m)
-        if np.linalg.norm(m - m.conj().T) > 1e-8 * scale:
-            raise ValueError("density operator must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-8 or abs(np.trace(m).imag) > 1e-8:
-            raise ValueError(f"density operator must have unit trace, got {np.trace(m)}")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues[0] < -1e-8 * scale:
-            raise ValueError(f"density operator has eigenvalue {eigenvalues[0]:.3e} < -1e-8")
-        self._matrix = _frozen(m.copy())
-        self._eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
+        m = as_square_complex(matrix).copy()
+        self._eigenvalues = _checked_spectra(m[None])[0]
+        self._matrix = _frozen(m)
         self._entropy = None
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, eigenvalues: np.ndarray) -> "DensityOperator":
-        """View a read-only derived state with its clipped spectrum, unvalidated."""
+        """View a read-only matrix with its clipped spectrum, not checked again."""
         rho = cls.__new__(cls)
         rho._matrix = matrix
         rho._eigenvalues = eigenvalues
@@ -210,16 +223,17 @@ class Measurement:
     __slots__ = ("_stack", "_kraus", "_groups", "_labels")
 
     def __init__(self, kraus, groups=None, labels=None):
-        ops = tuple(as_square_complex(a) for a in kraus)
+        stacked = isinstance(kraus, np.ndarray) and kraus.ndim == 3  # checked in one call
+        ops = tuple(as_square_complex(kraus, stack=True) if stacked else map(as_square_complex, kraus))
         if not ops:
             raise ValueError("measurement needs at least one Kraus operator")
         dim = ops[0].shape[0]
         if any(a.shape[0] != dim for a in ops):
             raise DimensionMismatchError("all Kraus operators must share one dimension")
-        total = sum(a.conj().T @ a for a in ops)
-        if np.linalg.norm(total - np.eye(dim)) > 1e-8:
-            raise ValueError("Kraus operators do not satisfy completeness")
         stack = _frozen(np.stack(ops))
+        total = (stack.conj().swapaxes(1, 2) @ stack).sum(axis=0)
+        if not np.linalg.norm(total - np.eye(dim)) <= 1e-8:
+            raise ValueError("Kraus operators do not satisfy completeness")
         if groups is not None:
             groups = tuple(tuple(int(i) for i in g) for g in groups)
             if any(len(g) == 0 for g in groups):
@@ -261,13 +275,14 @@ class Measurement:
     def labels(self):
         return self._labels
 
-    def povm_elements(self) -> list[np.ndarray]:
-        """The POVM elements E_j = A_j† A_j."""
-        return [a.conj().T @ a for a in self._kraus]
-
     def __repr__(self):
         g = f", groups={len(self._groups)}" if self._groups else ""
         return f"Measurement(outcomes={self.size}, dim={self.dim}{g})"
+
+
+# The arrays an OutcomeAnalysis reads from its stack of one instance.
+_OUTCOME_FIELDS = ("outcome_probs", "cond_probs", "posteriors", "post_matrices", "post_spectra",
+                   "post_entropies", "cond_post_spectra", "cond_post_entropies")
 
 
 class OutcomeAnalysis:
@@ -280,41 +295,25 @@ class OutcomeAnalysis:
     construction: ``outcome_probs`` (J,), ``cond_probs`` Q(j|i) and
     ``posteriors`` (J, I), zero rows below the floor. ``post_matrices``
     (J, d, d) and ``cond_post_matrices`` (J, I, d, d) carry clipped
-    ascending ``*_spectra`` and ``*_entropies`` (0 below the floor). The
-    ``post_states`` and ``cond_post_states`` views (None below the floor)
-    are not re-validated.
+    ascending ``*_spectra`` and ``*_entropies`` (both 0 below the floor).
+    The ``post_states`` and ``cond_post_states`` views (None below the
+    floor) are not re-validated. The arrays view a stack of one instance.
     """
 
-    __slots__ = ("ensemble", "measurement", "pieces", "outcome_probs",
-                 "cond_probs", "posteriors", "post_matrices", "post_spectra",
-                 "cond_post_matrices", "cond_post_spectra", "post_entropies",
-                 "cond_post_entropies", "coarse", "_post_states", "_cond_post_states")
+    __slots__ = ("ensemble", "measurement", "pieces", "coarse", "cond_post_matrices",
+                 "_stack", *_OUTCOME_FIELDS, "_post_states", "_cond_post_states")
 
     def __init__(self, ensemble, measurement, pieces, coarse=False):
-        probs = ensemble.probs
-        pieces = hermitize(pieces)
-        cond = np.maximum(np.einsum("jiaa->ji", pieces).real, 0.0)
-        outcome_probs = cond @ probs
-        q = np.where(outcome_probs >= PROB_FLOOR, outcome_probs, 1.0)[:, None]
-        posteriors = np.where(outcome_probs[:, None] >= PROB_FLOOR,
-                              probs * cond / q, 0.0)
-        post = np.einsum("i,jiab->jab", probs, pieces) / q[..., None]
-        cond_post = pieces / np.where(cond >= PROB_FLOOR, cond, 1.0)[..., None, None]
         self.ensemble = ensemble
         self.measurement = measurement
-        self.pieces = _frozen(pieces)
-        self.outcome_probs = _frozen(outcome_probs)
-        self.cond_probs = _frozen(cond)
-        self.posteriors = _frozen(posteriors)
-        self.post_matrices = _frozen(post)
-        self.post_spectra = _frozen(np.maximum(np.linalg.eigvalsh(post), 0.0))
-        self.cond_post_matrices = _frozen(cond_post)
-        self.cond_post_spectra = _frozen(np.maximum(np.linalg.eigvalsh(cond_post), 0.0))
-        self.post_entropies = _frozen(entropies(
-            self.post_spectra, where=outcome_probs >= PROB_FLOOR))
-        self.cond_post_entropies = _frozen(entropies(
-            self.cond_post_spectra, where=cond >= PROB_FLOOR))
+        self.pieces = _frozen(hermitize(pieces))
         self.coarse = coarse
+        n_out, n_mem, dim, _ = pieces.shape
+        pairs = self.pieces.reshape(-1, dim, dim).copy()
+        self._stack = _outcome_stack(ensemble.probs[None], pairs, np.ones((1, n_out, n_mem), bool))
+        for name in _OUTCOME_FIELDS:
+            setattr(self, name, self._stack[name][0])
+        self.cond_post_matrices = self._stack["cond_post_matrices"].reshape(pieces.shape)
         self._post_states = None
         self._cond_post_states = None
 
@@ -368,13 +367,19 @@ def _views(matrices, spectra, probs) -> tuple[DensityOperator | None, ...]:
                  for m, s, p in zip(matrices, spectra, probs))
 
 
+def _mixtures(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Hermitized averages sum_i P_i rho_i of (K, I, d, d) states, member by member."""
+    acc = np.zeros(states.shape[:1] + states.shape[2:], dtype=np.complex128)
+    for i in range(states.shape[1]):
+        acc += probs[:, i, None, None] * states[:, i]
+    return hermitize(acc)
+
+
 def ensemble_state(ensemble: Ensemble) -> DensityOperator:
     """Average state sum_i P_i rho_i of an ensemble, formed once per ensemble."""
     if ensemble._average is None:
-        acc = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-        for p, s in zip(ensemble.probs, ensemble.states):
-            acc += p * s.matrix
-        ensemble._average = DensityOperator(hermitize(acc))
+        states = np.stack([s.matrix for s in ensemble.states])
+        ensemble._average = DensityOperator(_mixtures(ensemble.probs[None], states[None])[0])
     return ensemble._average
 
 
@@ -391,6 +396,60 @@ def _conjugations(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
     left = kraus.reshape(n_out * dim, dim) @ states.transpose(1, 0, 2).reshape(dim, n_mem * dim)
     both = left.reshape(n_out, dim * n_mem, dim) @ kraus.conj().swapaxes(1, 2)
     return both.reshape(n_out, dim, n_mem, dim).transpose(0, 2, 1, 3)
+
+
+def _member_sums(weights: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> np.ndarray:
+    """sum_i weights[k, j, i] M_kji of flat (L, d, d) pair matrices as a
+    (K, J, d, d) stack, summed member by member as einsum sums, same bits;
+    ``weights`` broadcasts to the (K, J, I) mask ``exists``."""
+    if exists.all():  # no padding: the pairs are a (K, J, I, d, d) stack
+        return np.einsum("kji,kjiab->kjab", weights, pairs.reshape(exists.shape + pairs.shape[1:]))
+    weights = np.broadcast_to(weights, exists.shape)
+    position = np.cumsum(exists).reshape(exists.shape) - 1
+    acc = np.zeros(exists.shape[:2] + pairs.shape[1:], dtype=np.complex128)
+    for i in range(exists.shape[2]):
+        k, j = np.nonzero(exists[:, :, i])
+        terms = pairs[position[k, j, i]]
+        terms *= weights[k, j, i][:, None, None]
+        acc[k, j] += terms
+    return acc
+
+
+def _spectra(matrices: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped ascending spectra and entropies of the live matrices of a
+    stack (0 elsewhere), from one ``eigvalsh``; a copy only if some are not."""
+    if live.all():
+        spectra = np.maximum(np.linalg.eigvalsh(matrices), 0.0)
+        return spectra, entropies(spectra)
+    spectra = np.zeros(matrices.shape[:-1])
+    spectra[live] = np.maximum(np.linalg.eigvalsh(matrices[live]), 0.0)
+    return spectra, entropies(spectra, where=live)
+
+
+def _outcome_stack(probs: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> dict:
+    """``OutcomeAnalysis`` arrays of K instances, zero-padded with a leading
+    instance axis, from (K, I) member probabilities and the Hermitian pieces
+    of the pairs in the (K, J, I) mask ``exists``, flat (L, d, d); these are
+    divided in place into ``cond_post_matrices``. Padded members and
+    outcomes need no special case: they fall below ``PROB_FLOOR``."""
+    cond = np.zeros(exists.shape)
+    cond[exists] = np.maximum(np.einsum("laa->l", pairs).real, 0.0)
+    outcome_probs = (cond @ probs[..., None])[..., 0]
+    live, cond_live = outcome_probs >= PROB_FLOOR, cond >= PROB_FLOOR
+    q = np.where(live, outcome_probs, 1.0)[..., None]
+    out = {"exists": exists, "cond_probs": cond, "outcome_probs": outcome_probs,
+           "posteriors": np.where(live[..., None], probs[:, None] * cond / q, 0.0),
+           "post_matrices": _member_sums(probs[:, None], pairs, exists) / q[..., None],
+           "cond_post_spectra": np.zeros(exists.shape + pairs.shape[-1:]),
+           "cond_post_entropies": np.zeros(exists.shape)}
+    pairs /= np.where(cond_live, cond, 1.0)[exists][:, None, None]
+    out["cond_post_matrices"] = pairs
+    out["post_spectra"], out["post_entropies"] = _spectra(out["post_matrices"], live)
+    out["cond_post_spectra"][exists], out["cond_post_entropies"][exists] = _spectra(
+        pairs, cond_live[exists])
+    for a in out.values():
+        _frozen(a)
+    return out
 
 
 def apply_measurement(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysis:
@@ -444,7 +503,10 @@ def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,
     sorted uniform spacings. The measurement takes ``n_outcomes`` Ginibre
     factors G_j with random rank <= dim (rows zeroed) and sets
     A_j = G_j S^(-1/2) with S = sum_j G_j† G_j, which is complete up to
-    roundoff by construction. Deterministic for a fixed seed.
+    roundoff by construction. Deterministic for a fixed seed. The states
+    and the factors each take one normal draw, which yields the numbers of
+    one draw per state or factor in order, and the states are checked as
+    ``DensityOperator`` checks them, in one batched pass.
     """
     if dim < 2 or n_states < 1 or n_outcomes < 1:
         raise ValueError("need dim >= 2, n_states >= 1, n_outcomes >= 1")
@@ -453,15 +515,17 @@ def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,
     spacings = np.sort(rng.uniform(size=n_states - 1))
     probs = np.diff(np.concatenate(([0.0], spacings, [1.0])))
 
-    states = []
-    for _ in range(n_states):
-        if pure:
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            states.append(pure_state(v))
-        else:
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            w = g @ g.conj().T
-            states.append(DensityOperator(w / np.trace(w).real))
+    if pure:
+        z = rng.normal(size=(n_states, 2, dim))
+        v = z[:, 0] + 1j * z[:, 1]
+        norms = (v.conj()[:, None, :] @ v[:, :, None]).real
+        matrices = v[:, :, None] * v.conj()[:, None, :] / norms
+    else:
+        z = rng.normal(size=(n_states, 2, dim, dim))
+        g = z[:, 0] + 1j * z[:, 1]
+        w = g @ g.conj().swapaxes(1, 2)
+        matrices = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
+    states = tuple(map(DensityOperator._derived, _frozen(matrices), _checked_spectra(matrices)))
 
     while True:
         ranks = rng.integers(1, dim + 1, size=n_outcomes)
@@ -469,18 +533,14 @@ def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,
             pick = int(rng.integers(n_outcomes))
             if ranks[pick] < dim:
                 ranks[pick] += 1
-        factors = []
-        for rank in ranks:
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            g[rank:, :] = 0.0
-            factors.append(g)
-        s = sum(g.conj().T @ g for g in factors)
-        w, v = np.linalg.eigh(s)
+        z = rng.normal(size=(n_outcomes, 2, dim, dim))
+        factors = z[:, 0] + 1j * z[:, 1]
+        factors[np.arange(dim) >= ranks[:, None]] = 0.0
+        w, v = np.linalg.eigh((factors.conj().swapaxes(1, 2) @ factors).sum(axis=0))
         if w[0] > 1e-4 * w[-1]:  # redraw rare ill-conditioned totals
             break
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    kraus = [g @ inv_root for g in factors]
-    return Ensemble(probs, states), Measurement(kraus)
+    return Ensemble(probs, states), Measurement(factors @ inv_root)
 
 
 # ---------------------------------------------------------------------------

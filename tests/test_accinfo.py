@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbound.accinfo import (BudgetTooSmallError, SearchConfigError, _two_state_mi,
                             maximize_mutual_info, povm_from_vectors,
@@ -237,3 +239,32 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Accessible informations with closed forms, and the tolerance the search
+# must reach on them (fixed before the search was run on them).
+ORACLE_TOL = 1e-9
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+TRINE = [(math.cos(2 * math.pi * k / 3), math.sin(2 * math.pi * k / 3), 0.0) for k in range(3)]
+TETRAHEDRON = [np.array(v) / math.sqrt(3) for v in
+               ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+
+
+@pytest.mark.parametrize("bloch, value", [
+    (TRINE, math.log(3 / 2)),        # Sasaki et al., PRA 59, 3325 (1999); Shor (2000)
+    (TETRAHEDRON, math.log(4 / 3)),  # Davies, IEEE Trans. Inf. Theory 24, 596 (1978)
+], ids=["trine", "tetrahedron"])
+def test_search_reaches_closed_form_accessible_information(bloch, value):
+    states = [(np.eye(2) + np.tensordot(v, PAULIS, axes=1)) / 2 for v in bloch]
+    ens = Ensemble(np.full(len(states), 1 / len(states)), states)
+    res = maximize_mutual_info(ens, budget=20000, restarts=4, seed=0)
+    assert abs(res.best_value - value) <= ORACLE_TOL
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 3), st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_search_value_is_at_least_the_subentropy(dim, n_states, seed):
+    # Jozsa, Robb and Wootters (PRA 49, 668, 1994): I_acc >= Q[rho] for pure ensembles
+    ens, _ = random_instance(dim, n_states, 2, True, seed)
+    res = maximize_mutual_info(ens, budget=1000, restarts=2, seed=seed)
+    assert res.best_value >= subentropy(ensemble_state(ens))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbound.bounds import (LengthMismatchError, NotPureEnsembleError, accb_rhs,
-                           bound_report, bsub_rhs, dimension_bound,
+                           bound_report, bound_reports, bsub_rhs, dimension_bound,
                            dual_holevo_rhs, eqspec_check, eqx_rhs,
                            saturation_predicates, spectrum_identity_deviation,
                            sww_rhs)
@@ -204,6 +204,13 @@ class TestSaturationPredicates:
         assert flags.povm_commuting
         assert flags.rank_one_povm
 
+    def test_stacked_rank_one_counts_existing_outcomes_only(self):
+        ens, wide = random_instance(2, 3, 9, True, 1)
+        zero = Measurement(list(basis_projectors(2).kraus) + [np.zeros((2, 2))])
+        reports = bound_reports([(ens, basis_projectors(2)), (ens, wide), (ens, zero)])
+        assert [r.flags.rank_one_povm for r in reports] == [True, False, False]
+        assert saturation_predicates(ens, zero) == reports[2].flags
+
 
 class TestBoundReport:
     def test_chain_on_random_instances(self):
@@ -229,6 +236,13 @@ class TestBoundReport:
             ens, meas = random_diagonal_classical(dim, int(rng.integers(2 ** 63)))
             a = apply_measurement(meas, ens)
             assert abs(mutual_information(a) - info_gain_f(a)) <= 1e-9
+
+    def test_stacked_reports_need_one_seed_per_instance(self):
+        ens, meas = random_instance(2, 2, 2, True, 1)
+        assert bound_reports([]) == []
+        assert [r.seed for r in bound_reports([(ens, meas)] * 2, [5, 6])] == [5, 6]
+        with pytest.raises(LengthMismatchError):
+            bound_reports([(ens, meas)] * 2, [5])
 
     def test_spectrum_identity_direct(self):
         ens, meas = random_instance(4, 3, 5, False, 11)

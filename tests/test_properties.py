@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbound.accinfo import povm_from_vectors
-from qbound.bounds import SaturationFlags, bound_report, saturation_predicates
+from qbound.bounds import (SaturationFlags, bound_report, bound_reports,
+                           saturation_predicates)
 from qbound.haarmc import haar_unitary
 from qbound.infomeasures import mutual_information, subentropy, von_neumann
 from qbound.matrixcore import commutes, operator_rank
@@ -18,11 +19,11 @@ from qbound.scenarios import random_diagonal_classical
 
 
 @st.composite
-def instances(draw):
-    """Random instances of dims 2-6 with 1-8 members and 1-9 outcomes,
-    optionally with a zero-probability member and a zero Kraus operator
-    (an outcome of probability exactly 0)."""
-    dim = draw(st.integers(2, 6))
+def instances(draw, dim=None):
+    """Random instances of dims 2-6 (or ``dim``) with 1-8 members and 1-9
+    outcomes, optionally with a zero-probability member and a zero Kraus
+    operator (an outcome of probability exactly 0)."""
+    dim = dim or draw(st.integers(2, 6))
     n_states = draw(st.integers(1, 8))
     n_outcomes = draw(st.integers(1, 9))
     pure = draw(st.booleans())
@@ -85,6 +86,29 @@ def test_bound_chain_routes_and_slacks(instance):
     assert abs(rep.dual - rep.info_f) <= 1e-9
     assert rep.spectrum_identity_dev <= 1e-9
     assert rep.min_slack() >= -1e-8
+
+
+@st.composite
+def batches(draw):
+    """1-5 instances of one dimension and of mixed shapes."""
+    return draw(st.lists(instances(draw(st.integers(2, 6))), min_size=1, max_size=5))
+
+
+REPORT_KEYS = ("info_i", "info_f", "chi", "dual", "sww", "sww_alt", "eqx",
+               "spectrum_identity_dev")
+
+
+@given(batches())
+def test_stacked_reports_match_reports_one_at_a_time(batch):
+    stacked = bound_reports(batch, list(range(len(batch))))
+    for k, (ens, meas) in enumerate(batch):
+        one = bound_report(ens, meas, seed=k)
+        assert stacked[k].seed == k and stacked[k].dim == one.dim
+        assert stacked[k].flags == one.flags
+        for key in REPORT_KEYS:
+            assert abs(getattr(stacked[k], key) - getattr(one, key)) <= 1e-14, key
+        for key, slack in one.slacks.items():
+            assert abs(stacked[k].slacks[key] - slack) <= 1e-14, key
 
 
 def draw_groups(data, size):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbound.qobjects import (DensityOperator, DimensionMismatchError,
+from qbound.qobjects import (DensityOperator, DimensionMismatchError, _checked_spectra,
                              EmptyGroupError, Ensemble, Measurement,
                              apply_measurement, coarse_grain, ensemble_from_json,
                              ensemble_state, ensemble_to_json, matrix_from_json,
@@ -230,6 +230,94 @@ class TestRandomInstance:
                                       int(rng.integers(2 ** 63)))
             total = sum(a.conj().T @ a for a in meas.kraus)
             assert np.linalg.norm(total - np.eye(dim)) <= 1e-10
+
+
+def one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed):
+    """Reference for ``random_instance``: one normal draw per state and per
+    factor, each state formed, normalized and diagonalized on its own.
+    Returns the probabilities, states, spectra, Kraus operators and the
+    number of ill-conditioned redraws."""
+    rng = np.random.default_rng(seed)
+    probs = np.diff(np.concatenate(([0.0], np.sort(rng.uniform(size=n_states - 1)), [1.0])))
+    states = []
+    for _ in range(n_states):
+        if pure:
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            states.append(np.outer(v, v.conj()) / float(np.vdot(v, v).real))
+        else:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            w = g @ g.conj().T
+            states.append(w / np.trace(w).real)
+    spectra = [np.where(e < 0.0, 0.0, e) for e in map(np.linalg.eigvalsh, states)]
+    redraws = -1
+    while True:
+        redraws += 1
+        ranks = rng.integers(1, dim + 1, size=n_outcomes)
+        while ranks.sum() < dim:
+            pick = int(rng.integers(n_outcomes))
+            if ranks[pick] < dim:
+                ranks[pick] += 1
+        factors = []
+        for rank in ranks:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            g[rank:, :] = 0.0
+            factors.append(g)
+        w, v = np.linalg.eigh(sum(g.conj().T @ g for g in factors))
+        if w[0] > 1e-4 * w[-1]:
+            break
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return probs, states, spectra, [g @ inv_root for g in factors], redraws
+
+
+BATCHED_DRAW_CASES = ([(dim, n_states, n_outcomes, pure, 1000 * dim + n_states)
+                       for dim in range(2, 7) for n_states, n_outcomes in ((2, 2), (5, 6), (8, 9))
+                       for pure in (True, False)]
+                      + [(2, 2, 1, True, 37), (4, 2, 2, True, 150)])  # these two redraw
+
+
+@pytest.mark.parametrize("dim, n_states, n_outcomes, pure, seed", BATCHED_DRAW_CASES)
+def test_batched_draws_have_the_bits_of_one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed):
+    probs, states, spectra, kraus, redraws = one_draw_at_a_time(dim, n_states, n_outcomes,
+                                                                pure, seed)
+    ens, meas = random_instance(dim, n_states, n_outcomes, pure, seed)
+    assert ens.probs.tobytes() == probs.tobytes()
+    assert np.stack([s.matrix for s in ens.states]).tobytes() == np.stack(states).tobytes()
+    assert np.stack([s.eigenvalues for s in ens.states]).tobytes() == np.stack(spectra).tobytes()
+    assert meas.kraus_stack.tobytes() == np.stack(kraus).tobytes()
+    assert redraws == (seed in (37, 150))
+
+
+def mutated_states(kind):
+    """A stack of valid states with the second one spoiled as ``kind`` says."""
+    ens, _ = random_instance(3, 3, 2, False, 5)
+    m = np.stack([s.matrix for s in ens.states])
+    if kind == "non-hermitian":
+        m[1, 0, 1] += 1e-3
+    elif kind == "trace":
+        m[1] *= 1.01
+    elif kind == "negative":
+        m[1] = np.diag([1.2, -0.1, -0.1])
+    else:
+        m[1, 2, 2] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("kind", ["non-hermitian", "trace", "negative", "nan"])
+def test_batched_state_checks_reject_what_the_constructor_rejects(kind):
+    m = mutated_states(kind)
+    with pytest.raises(ValueError):
+        DensityOperator(m[1])
+    with pytest.raises(ValueError):
+        _checked_spectra(m)
+    _checked_spectra(np.delete(m, 1, axis=0))  # the others pass
+
+
+def test_stacked_completeness_check_rejects_an_incomplete_measurement():
+    _, meas = random_instance(3, 2, 4, False, 8)
+    with pytest.raises(ValueError, match="completeness"):
+        Measurement(meas.kraus_stack * 1.001)
+    with pytest.raises(ValueError, match="completeness"):
+        Measurement(meas.kraus_stack[:-1])
 
 
 class TestJson:

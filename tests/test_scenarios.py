@@ -1,12 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from qbound import scenarios
+from qbound.accinfo import OptResult
 from qbound.cli import main
+from qbound.infomeasures import subentropy
+from qbound.qobjects import Measurement, ensemble_state, random_instance
 from qbound.scenarios import (SCENARIOS, InvalidConfigError, Report,
-                              ScenarioConfig, UnknownScenarioError, emit_report,
-                              run_scenario)
+                              ScenarioConfig, UnknownScenarioError, _mc_retry,
+                              _retry_seed, emit_report, run_scenario)
 
 SMALL = {
     "bound-chain": dict(dim=2, trials=5),
@@ -221,8 +226,49 @@ def test_optimize_record_reports_search_diagnostics():
     report = run_scenario(small_config("optimize"))
     rec = report.records[0]
     assert rec["last_improvement"] <= rec["evaluations"] <= 400
-    assert rec["gap"] == min(rec["chi"], rec["dual"]) - rec["opt_value"]
-    assert rec["gap"] >= -1e-8
+    assert rec["upper"] == rec["chi"]
+    assert rec["opt_value"] <= rec["lower"] <= rec["upper"]
     bits = report.to_dict(units="bits")["records"][0]
-    assert bits["gap"] == rec["gap"] / math.log(2)
+    assert bits["lower"] == rec["lower"] / math.log(2)
+    assert bits["upper"] == rec["upper"] / math.log(2)
     assert bits["evaluations"] == rec["evaluations"]
+    assert bits["below_subentropy"] is rec["below_subentropy"] is False
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_optimize_lower_bound_is_the_subentropy_only_for_pure_ensembles(pure):
+    cfg = small_config("optimize", seed=3, params={"budget": 400, "restarts": 2, "pure": pure})
+    rec = run_scenario(cfg).records[0]
+    ens, _ = random_instance(cfg.dim, 2, 2, pure, cfg.seed)
+    floor = subentropy(ensemble_state(ens)) if pure else rec["opt_value"]
+    assert rec["lower"] == max(rec["opt_value"], floor)
+
+
+def test_optimize_flags_a_search_below_the_subentropy(monkeypatch):
+    def trivial_search(ensemble, **_):
+        return OptResult(0.0, Measurement([np.eye(ensemble.dim)]), [], 1, 0, 100)
+
+    monkeypatch.setattr(scenarios, "maximize_mutual_info", trivial_search)
+    rec = run_scenario(small_config("optimize")).records[0]
+    assert rec["below_subentropy"] is True
+    assert rec["lower"] > rec["opt_value"] == 0.0
+
+
+def test_monte_carlo_retry_keys_a_stream_disjoint_from_the_first_pass():
+    calls = []
+    est, ok, retried = _mc_retry(lambda n, s: calls.append((n, s)) or n, 10, 7,
+                                 lambda n: n == 40)
+    assert (est, ok, retried) == (40, True, True)
+    assert calls == [(10, 7), (40, _retry_seed(7))]
+    for seed in [0, 7, -1, 2 ** 63 - 1, *range(100, 10_000, 97)]:
+        first = {(seed % 2 ** 64, t) for t in range(10)}
+        retry = {(_retry_seed(seed) % 2 ** 64, t) for t in range(40)}
+        assert not first & retry and _retry_seed(seed) == _retry_seed(seed)
+
+
+def test_a_retried_monte_carlo_job_reproduces_its_report():
+    cfg = ScenarioConfig("haar", dim=2, trials=50, seed=167)  # this seed misses, then retries
+    first, again = run_scenario(cfg).to_dict(), run_scenario(cfg).to_dict()
+    assert first["records"][0]["retried"] and first["records"][0]["trials"] == 200
+    first.pop("walltime_ms"), again.pop("walltime_ms")
+    assert first == again
