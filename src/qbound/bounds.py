@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infomeasures import _conditional_gains, holevo_chi, subentropy, von_neumann
+from .infomeasures import _conditional_gains, _subentropies, holevo_chi, von_neumann
 from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, sqrt_psd,
                          support_projector)
 from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
                        Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
-                       _conjugations, _dot, _member_sums, _mixtures, _neg_xlogx,
-                       _outcome_stack, ensemble_state, entropies)
+                       _coarse_pieces, _conjugations, _dot, _member_sums, _mixtures,
+                       _neg_xlogx, _outcome_stack, ensemble_state, entropies)
 
 
 class NotPureEnsembleError(ValueError):
@@ -134,10 +134,8 @@ def bsub_rhs(acc_total: float, analysis: OutcomeAnalysis) -> float:
     acc_total - sum_j Q_j Q[rho'_j]."""
     if not analysis.ensemble.is_pure:
         raise NotPureEnsembleError("subentropy bound requires a pure-state ensemble")
-    out = acc_total
-    for j in analysis.effective_outcomes():
-        out -= analysis.outcome_probs[j] * subentropy(analysis.post_states[j])
-    return float(out)
+    sub, _ = _subentropies(analysis.post_spectra, analysis.outcome_probs >= PROB_FLOOR)
+    return float(acc_total - analysis.outcome_probs @ sub)
 
 
 def eqspec_check(ensemble: Ensemble, measurement: Measurement,
@@ -307,25 +305,62 @@ def spectrum_identity_deviation(rho: DensityOperator, measurement: Measurement,
     return float(_spectrum_deviation(spectra, analysis._stack)[0])
 
 
+def _chi_stage(instances):
+    """First stage of the stacked kernel over K instances on one space: the
+    ``_padded`` batch, rho (K, d, d), S[rho] (K,), member entropies and chi."""
+    batch = _padded(instances)
+    probs, states, spectra, _, members, _ = batch
+    rho = _mixtures(probs, states)
+    s_rho = entropies(_checked_spectra(rho))
+    s_members = entropies(spectra, where=members)
+    return batch, rho, s_rho, s_members, s_rho - _dot(probs, s_members)
+
+
+def _pair_stack(instances, probs, members, outcomes) -> dict:
+    """The ``_outcome_stack`` of K instances from their ``_padded`` probabilities and masks."""
+    return _outcome_stack(probs, np.concatenate([
+        hermitize(_conjugations(m, e)).reshape(-1, e.dim, e.dim) for e, m in instances]),
+        outcomes[:, :, None] & members[:, None, :])
+
+
+def _info_i(probs, stack):
+    """H[P_i] - sum_j Q_j H[P(i|j)] of each instance of a stack."""
+    return _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
+
+
+def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndarray]:
+    """I_i and I_f of one ensemble under K inefficient measurements with equal
+    group counts, as (K,) arrays from one ``_outcome_stack`` of their pieces."""
+    pieces = hermitize(np.stack([_coarse_pieces(m, ensemble) for m in measurements]))
+    probs = np.broadcast_to(ensemble.probs, pieces.shape[:1] + ensemble.probs.shape)
+    stack = _outcome_stack(probs, pieces.reshape((-1,) + pieces.shape[-2:]),
+                           np.ones(pieces.shape[:3], bool))
+    info_f = von_neumann(ensemble_state(ensemble)) - _dot(stack["outcome_probs"],
+                                                          stack["post_entropies"])
+    return _info_i(probs, stack), info_f
+
+
+def _corollary_terms(instances):
+    """chi, I_i and sum_j Q_j Q[rho'_j] of K instances on one space, as (K,)
+    arrays, with the mpmath digits of each post-state subentropy."""
+    (probs, _, _, _, members, outcomes), _, _, _, chi = _chi_stage(instances)
+    stack = _pair_stack(instances, probs, members, outcomes)
+    sub, digits = _subentropies(stack["post_spectra"], stack["outcome_probs"] >= PROB_FLOOR)
+    return chi, _info_i(probs, stack), _dot(stack["outcome_probs"], sub), digits
+
+
 def _reports(instances, seeds, stack=None) -> list[BoundReport]:
     """The stacked kernel: the ``BoundReport`` of K instances on one space.
     Their ``_outcome_stack``, unless given, is built last, so that the other
     temporaries never sit on top of it."""
-    batch = _padded(instances)
-    probs, states, spectra, kraus, members, outcomes = batch
-    rho = _mixtures(probs, states)
-    s_rho = entropies(_checked_spectra(rho))
-    s_members = entropies(spectra, where=members)
-    chi = s_rho - _dot(probs, s_members)
+    batch, rho, s_rho, s_members, chi = _chi_stage(instances)
+    probs, _, _, kraus, members, outcomes = batch
     povm = _povm(kraus)
     dual, spectra_dual = _dual_and_spectra(rho, s_rho, povm)
     flags = _flags(batch, povm)
-    del batch, states, kraus, povm  # free the padded operator stacks before the pairs
-    if stack is None:
-        stack = _outcome_stack(probs, np.concatenate([
-            hermitize(_conjugations(m, e)).reshape((-1,) + rho.shape[1:]) for e, m in instances]),
-            outcomes[:, :, None] & members[:, None, :])
-    info_i = _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
+    del batch, kraus, povm  # free the padded operator stacks before the pairs
+    stack = _pair_stack(instances, probs, members, outcomes) if stack is None else stack
+    info_i = _info_i(probs, stack)
     info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
     columns = zip(seeds, info_i.tolist(), info_f.tolist(), chi.tolist(), dual.tolist(),
                   _sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist(),

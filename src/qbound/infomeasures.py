@@ -24,6 +24,8 @@ CLUSTER_GAP = 1e-7
 
 _MP_DPS = 40
 
+_CERTIFIED_LOSS = 4  # digits the float64 subentropy may lose to cancellation
+
 
 def shannon(p, tol: float = 1e-9) -> float:
     """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
@@ -80,23 +82,15 @@ def _table_dps(nodes: np.ndarray) -> int:
     return max(_MP_DPS, 30 + (len(nodes) - 1) * loss)
 
 
-def subentropy(rho: DensityOperator) -> float:
-    """Subentropy Q[rho] in nats.
-
-    Evaluated as minus the (N-1)-th divided difference of x^N ln x over the
-    N eigenvalues, which for distinct spectra coincides with the classic
-    closed form -sum_k prod_(l!=k)[lam_k/(lam_k-lam_l)] lam_k ln lam_k.
-    Eigenvalues closer than CLUSTER_GAP are merged and handled confluently
-    (derivative entries in the Newton table). The table is evaluated in
-    high precision, sized by :func:`_table_dps` to cover the cancellation
-    the recurrence suffers near clustered spectra.
-    """
-    lam = _clean_spectrum(rho.eigenvalues)
+def _subentropy_table(lam: np.ndarray) -> tuple[float, int]:
+    """Subentropy of one clean spectrum, and the digits used, as minus the
+    (N-1)-th divided difference of x^N ln x over its N eigenvalues. Those
+    closer than CLUSTER_GAP are merged and handled confluently (derivative
+    entries in the Newton table), in the precision of :func:`_table_dps`."""
     n = len(lam)
-    if n == 1:
-        return 0.0
     nodes = _cluster_nodes(lam)
-    with mp.workdps(_table_dps(nodes)):
+    dps = _table_dps(nodes)
+    with mp.workdps(dps):
         harm = [mp.mpf(0)]
         for m in range(1, n + 1):
             harm.append(harm[-1] + mp.mpf(1) / m)
@@ -112,7 +106,41 @@ def subentropy(rho: DensityOperator) -> float:
                 else:
                     cur.append((prev[i + 1] - prev[i]) / (z[i + k] - z[i]))
             prev = cur
-        return float(-prev[0])
+        return float(-prev[0]), dps
+
+
+def _subentropies(spectra: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subentropies in nats of a stack of spectra (..., d), 0 where the
+    boolean ``live`` is false, and the mpmath digits each took (0: float64).
+
+    The closed form -sum_k prod_(l!=k)[lam_k/(lam_k-lam_l)] lam_k ln lam_k
+    runs in float64 over the n nonzero eigenvalues (n <= 1 gives 0.0) where
+    (n-1) max(0, -log10 g) <= _CERTIFIED_LOSS, g their smallest gap; by the
+    cancellation count of :func:`_table_dps` that leaves >= 12 good digits.
+    Other spectra go to the divided-difference table."""
+    lam = np.sort(_clean_spectrum(spectra[live]), axis=-1)
+    n = (lam > 0.0).sum(axis=-1)
+    gaps = np.where(lam[..., :-1] > 0.0, np.diff(lam, axis=-1), np.inf)
+    with np.errstate(divide="ignore"):
+        loss = np.maximum(0.0, -np.log10(gaps.min(axis=-1, initial=np.inf)))
+    certified = (n <= 1) | ((n - 1) * loss <= _CERTIFIED_LOSS)
+    x = lam[certified]
+    skip = np.eye(x.shape[-1], dtype=bool) | (x[:, None, :] == 0.0)
+    ratio = np.where(skip, 1.0, x[:, :, None] / np.where(skip, 1.0, x[:, :, None] - x[:, None, :]))
+    values = np.zeros(len(lam))
+    values[certified] = -(ratio.prod(axis=-1) * x * np.log(np.where(x > 0.0, x, 1.0))).sum(-1)
+    values[n <= 1] = 0.0
+    digits = np.zeros(len(lam), dtype=int)
+    for k in np.flatnonzero(~certified):
+        values[k], digits[k] = _subentropy_table(lam[k])
+    out, dps = np.zeros(live.shape), np.zeros(live.shape, dtype=int)
+    out[live], dps[live] = values, digits
+    return out, dps
+
+
+def subentropy(rho: DensityOperator) -> float:
+    """Subentropy Q[rho] in nats, a batch of one of :func:`_subentropies`."""
+    return float(_subentropies(rho.eigenvalues[None], np.ones(1, bool))[0][0])
 
 
 def mutual_information(analysis: OutcomeAnalysis) -> float:

@@ -463,11 +463,17 @@ def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysi
     Group k carries probability Q_k = sum of its members' Q_l and the
     averaged state (sum over the group of Kraus conjugations) / Q_k.
     """
+    return OutcomeAnalysis(ensemble, measurement, _coarse_pieces(measurement, ensemble),
+                           coarse=True)
+
+
+def _coarse_pieces(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
+    """(G, I, d, d) pieces of an inefficient measurement: the Kraus
+    conjugations summed over each outcome group."""
     if measurement.groups is None:
         raise ValueError("coarse_grain requires a measurement with outcome groups")
     fine = _conjugations(measurement, ensemble)
-    pieces = np.stack([fine[list(g)].sum(axis=0) for g in measurement.groups])
-    return OutcomeAnalysis(ensemble, measurement, pieces, coarse=True)
+    return np.stack([fine[list(g)].sum(axis=0) for g in measurement.groups])
 
 
 def mix_measurements(m1: Measurement, m2: Measurement, lam: float) -> Measurement:

@@ -7,8 +7,10 @@ import pytest
 from qbound import scenarios
 from qbound.accinfo import OptResult
 from qbound.cli import main
-from qbound.infomeasures import subentropy
-from qbound.qobjects import Measurement, ensemble_state, random_instance
+from qbound.infomeasures import (_subentropy_table, holevo_chi, info_gain_f,
+                                 mutual_information, subentropy)
+from qbound.qobjects import (Measurement, _clean_spectrum, apply_measurement, coarse_grain,
+                             ensemble_state, mix_measurements, random_instance)
 from qbound.scenarios import (SCENARIOS, InvalidConfigError, Report,
                               ScenarioConfig, UnknownScenarioError, _mc_retry,
                               _retry_seed, emit_report, run_scenario)
@@ -272,3 +274,71 @@ def test_a_retried_monte_carlo_job_reproduces_its_report():
     assert first["records"][0]["retried"] and first["records"][0]["trials"] == 200
     first.pop("walltime_ms"), again.pop("walltime_ms")
     assert first == again
+
+
+def one_at_a_time_corollary(cfg):
+    """Test-only port of the corollary loop as it ran instance by instance,
+    every post-state subentropy from the mpmath divided-difference table."""
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for _ in range(cfg.trials):
+        inst_seed = scenarios._sub_seed(rng)
+        n_states = int(rng.integers(2, 9))
+        n_outcomes = int(rng.integers(2, 10))
+        ens, meas = random_instance(cfg.dim, n_states, n_outcomes, True, inst_seed)
+        analysis = apply_measurement(meas, ens)
+        lhs = mutual_information(analysis)
+        for j in analysis.effective_outcomes():
+            lam = _clean_spectrum(analysis.post_states[j].eigenvalues)
+            lhs += analysis.outcome_probs[j] * _subentropy_table(lam)[0]
+        chi = holevo_chi(ens)
+        out.append((inst_seed, lhs, chi, chi - lhs >= -cfg.tol))
+    return out
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 1), (3, 2), (4, 3), (4, 8)])
+def test_stacked_corollary_matches_the_one_at_a_time_loop(dim, seed):
+    cfg = small_config("subentropy-corollary", seed=seed, dim=dim, trials=20)
+    records = run_scenario(cfg).records
+    expected = one_at_a_time_corollary(cfg)
+    assert [(r["seed"], r["pass"]) for r in records] == [(s, ok) for s, _, _, ok in expected]
+    for r, (_, lhs, chi, _) in zip(records, expected):
+        assert abs(r["corollary_lhs"] - lhs) <= 1e-14
+        assert abs(r["chi"] - chi) <= 1e-14
+        assert r["corollary_slack"] == r["chi"] - r["corollary_lhs"]
+
+
+@pytest.mark.parametrize("grid", [21, 101])
+def test_stacked_sweep_is_bit_identical_to_per_point_coarse_grain(grid):
+    records = run_scenario(small_config("inefficient-violation", params={"grid": grid})).records
+    sweep = [r for r in records if r["kind"] == "sweep"]
+    assert [r["lam"] for r in sweep] == np.linspace(0.0, 1.0, grid).tolist()
+    ens = scenarios.counterexample_encoding()
+    m_z, m_x = scenarios.basis_projectors(2), scenarios.qubit_x_projectors()
+    for r in sweep:
+        mixed = mix_measurements(m_x, m_z, r["lam"])
+        grouped = Measurement(mixed.kraus, groups=scenarios._groups_by_parent_outcome(mixed),
+                              labels=mixed.labels)
+        analysis = coarse_grain(grouped, ens)
+        assert r["info_i"] == mutual_information(analysis)
+        assert r["info_f"] == info_gain_f(analysis)
+
+
+def test_corollary_diagnostics_are_deterministic():
+    cfg = small_config("subentropy-corollary", seed=3, dim=4, trials=20)
+    first, second = (run_scenario(cfg).summary["diagnostics"] for _ in range(2))
+    assert first == second
+    assert first["subentropy_fallbacks"] > 0 and first["subentropy_max_dps"] >= 40
+    plain = run_scenario(small_config("subentropy-corollary", dim=2, trials=3))
+    assert plain.summary["diagnostics"] == {"subentropy_fallbacks": 0, "subentropy_max_dps": 0}
+
+
+@pytest.mark.parametrize("args", [
+    ["scenario", "inefficient-violation", "--param", "grid=-1"],
+    ["scenario", "inefficient-violation", "--param", "grid=1"],
+    ["scenario", "two-state-accinfo", "--param", "overlaps=0.5"],
+    ["scenario", "two-state-accinfo", "--param", "overlaps=[2.0]"],
+    ["scenario", "two-state-accinfo", "--param", "overlaps=abc"],
+])
+def test_cli_rejects_malformed_scenario_params(args, capsys):
+    _assert_input_error(main(args), capsys)
