@@ -7,6 +7,8 @@ agreement between sqrt(rho) E_j sqrt(rho) and Q_j rho'_j that underlies
 the equality of the dual bound with the entropy-reduction gain.
 ``bound_reports`` evaluates many instances as one stack, so each numpy or
 LAPACK call serves them all; the per-instance evaluators are stacks of one.
+The kernel takes the zero-padded batch of ``_padded`` or of a whole-job
+draw (``qobjects._random_batch``) and forms its conjugations in one product.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, s
                          support_projector)
 from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
                        Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
-                       _coarse_pieces, _conjugations, _dot, _member_sums, _mixtures,
-                       _neg_xlogx, _outcome_stack, ensemble_state, entropies)
+                       _coarse_pieces, _conjugate, _dot, _member_sums, _mixtures,
+                       _neg_xlogx, _outcome_stack, _povm, ensemble_state, entropies)
 
 
 class NotPureEnsembleError(ValueError):
@@ -30,11 +32,6 @@ class NotPureEnsembleError(ValueError):
 
 class LengthMismatchError(ValueError):
     """Parallel argument lists have different lengths."""
-
-
-def _povm(kraus: np.ndarray) -> np.ndarray:
-    """POVM elements E_j = A_j† A_j of a (..., J, d, d) Kraus stack."""
-    return kraus.conj().swapaxes(-1, -2) @ kraus
 
 
 def _dual_and_spectra(rho: np.ndarray, s_rho, povm: np.ndarray):
@@ -305,22 +302,22 @@ def spectrum_identity_deviation(rho: DensityOperator, measurement: Measurement,
     return float(_spectrum_deviation(spectra, analysis._stack)[0])
 
 
-def _chi_stage(instances):
-    """First stage of the stacked kernel over K instances on one space: the
-    ``_padded`` batch, rho (K, d, d), S[rho] (K,), member entropies and chi."""
-    batch = _padded(instances)
+def _chi_stage(batch):
+    """First stage of the stacked kernel over a ``_padded`` batch of K
+    instances: rho (K, d, d), S[rho] (K,), member entropies and chi."""
     probs, states, spectra, _, members, _ = batch
     rho = _mixtures(probs, states)
     s_rho = entropies(_checked_spectra(rho))
     s_members = entropies(spectra, where=members)
-    return batch, rho, s_rho, s_members, s_rho - _dot(probs, s_members)
+    return rho, s_rho, s_members, s_rho - _dot(probs, s_members)
 
 
-def _pair_stack(instances, probs, members, outcomes) -> dict:
-    """The ``_outcome_stack`` of K instances from their ``_padded`` probabilities and masks."""
-    return _outcome_stack(probs, np.concatenate([
-        hermitize(_conjugations(m, e)).reshape(-1, e.dim, e.dim) for e, m in instances]),
-        outcomes[:, :, None] & members[:, None, :])
+def _pair_stack(batch) -> dict:
+    """The ``_outcome_stack`` of a ``_padded`` batch, its conjugations
+    formed by one batched product over the padded stacks."""
+    probs, states, _, kraus, members, outcomes = batch
+    exists = outcomes[:, :, None] & members[:, None, :]
+    return _outcome_stack(probs, hermitize(_conjugate(kraus, states)[exists]), exists)
 
 
 def _info_i(probs, stack):
@@ -340,26 +337,25 @@ def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndar
     return _info_i(probs, stack), info_f
 
 
-def _corollary_terms(instances):
-    """chi, I_i and sum_j Q_j Q[rho'_j] of K instances on one space, as (K,)
+def _corollary_terms(batch):
+    """chi, I_i and sum_j Q_j Q[rho'_j] of a ``_padded`` batch, as (K,)
     arrays, with the mpmath digits of each post-state subentropy."""
-    (probs, _, _, _, members, outcomes), _, _, _, chi = _chi_stage(instances)
-    stack = _pair_stack(instances, probs, members, outcomes)
+    chi = _chi_stage(batch)[-1]
+    stack = _pair_stack(batch)
     sub, digits = _subentropies(stack["post_spectra"], stack["outcome_probs"] >= PROB_FLOOR)
-    return chi, _info_i(probs, stack), _dot(stack["outcome_probs"], sub), digits
+    return chi, _info_i(batch[0], stack), _dot(stack["outcome_probs"], sub), digits
 
 
-def _reports(instances, seeds, stack=None) -> list[BoundReport]:
-    """The stacked kernel: the ``BoundReport`` of K instances on one space.
-    Their ``_outcome_stack``, unless given, is built last, so that the other
-    temporaries never sit on top of it."""
-    batch, rho, s_rho, s_members, chi = _chi_stage(instances)
-    probs, _, _, kraus, members, outcomes = batch
-    povm = _povm(kraus)
+def _reports(batch, seeds, stack=None) -> list[BoundReport]:
+    """The stacked kernel: the ``BoundReport`` of each instance of a
+    ``_padded`` batch. Its ``_outcome_stack``, unless given, is built last,
+    so that the other temporaries never sit on top of it."""
+    rho, s_rho, s_members, chi = _chi_stage(batch)
+    probs, povm = batch[0], _povm(batch[3])
     dual, spectra_dual = _dual_and_spectra(rho, s_rho, povm)
     flags = _flags(batch, povm)
-    del batch, kraus, povm  # free the padded operator stacks before the pairs
-    stack = _pair_stack(instances, probs, members, outcomes) if stack is None else stack
+    del povm  # free the POVM stack before the pairs
+    stack = _pair_stack(batch) if stack is None else stack
     info_i = _info_i(probs, stack)
     info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
     columns = zip(seeds, info_i.tolist(), info_f.tolist(), chi.tolist(), dual.tolist(),
@@ -381,7 +377,7 @@ def bound_reports(instances, seeds=None) -> list[BoundReport]:
     seeds = [None] * len(instances) if seeds is None else list(seeds)
     if len(seeds) != len(instances):
         raise LengthMismatchError("bound_reports needs one seed per instance")
-    return _reports(instances, seeds) if instances else []
+    return _reports(_padded(instances), seeds) if instances else []
 
 
 def bound_report(ensemble: Ensemble, measurement: Measurement,
@@ -389,4 +385,4 @@ def bound_report(ensemble: Ensemble, measurement: Measurement,
     """Evaluate the full chain of quantities and bounds for one instance,
     as a batch of one that reuses ``analysis`` of this instance if given."""
     stack = None if analysis is None else analysis._stack
-    return _reports([(ensemble, measurement)], [seed], stack)[0]
+    return _reports(_padded([(ensemble, measurement)]), [seed], stack)[0]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infomeasures import shannon, subentropy
+from .infomeasures import _subentropies, shannon, subentropy
 from .matrixcore import sqrt_psd
-from .qobjects import DensityOperator, Measurement, PROB_FLOOR
+from .qobjects import PROB_FLOOR, DensityOperator, Measurement, _checked_spectra
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
@@ -118,17 +118,16 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int,
 
 def uniform_ensemble_info_exact(measurement: Measurement) -> float:
     """Closed form of the same quantity: Q[I/N] - sum_j Q_j Q[rho'_j],
-    with rho'_j = A_j A_j† / Tr[E_j]."""
+    with rho'_j = A_j A_j† / Tr[E_j], the post states checked and their
+    subentropies evaluated as one stack over the outcomes above the floor."""
     dim = measurement.dim
-    out = subentropy(DensityOperator(np.eye(dim) / dim))
-    for a in measurement.kraus:
-        w = a @ a.conj().T
-        tr = float(np.trace(w).real)
-        qj = tr / dim
-        if qj < PROB_FLOOR:
-            continue
-        out -= qj * subentropy(DensityOperator(w / tr))
-    return out
+    w = measurement.kraus_stack @ measurement.kraus_stack.conj().swapaxes(1, 2)
+    tr = np.trace(w, axis1=1, axis2=2).real
+    live = tr / dim >= PROB_FLOOR
+    spectra = np.zeros(w.shape[:2])
+    spectra[live] = _checked_spectra(w[live] / tr[live, None, None])
+    sub, _ = _subentropies(spectra, live)
+    return subentropy(DensityOperator(np.eye(dim) / dim)) - float(tr / dim @ sub)
 
 
 def distorted_sample(rho_prime: DensityOperator, unitary: np.ndarray,

@@ -231,9 +231,7 @@ class Measurement:
         if any(a.shape[0] != dim for a in ops):
             raise DimensionMismatchError("all Kraus operators must share one dimension")
         stack = _frozen(np.stack(ops))
-        total = (stack.conj().swapaxes(1, 2) @ stack).sum(axis=0)
-        if not np.linalg.norm(total - np.eye(dim)) <= 1e-8:
-            raise ValueError("Kraus operators do not satisfy completeness")
+        _check_complete(stack)
         if groups is not None:
             groups = tuple(tuple(int(i) for i in g) for g in groups)
             if any(len(g) == 0 for g in groups):
@@ -249,6 +247,13 @@ class Measurement:
         self._kraus = tuple(stack)
         self._groups = groups
         self._labels = labels
+
+    @classmethod
+    def _derived(cls, stack: np.ndarray) -> "Measurement":
+        """View a read-only (J, d, d) stack known to be complete, not checked again."""
+        meas = cls.__new__(cls)
+        meas._stack, meas._kraus, meas._groups, meas._labels = stack, tuple(stack), None, None
+        return meas
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -383,19 +388,37 @@ def ensemble_state(ensemble: Ensemble) -> DensityOperator:
     return ensemble._average
 
 
-def _conjugations(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
-    """All Kraus conjugations A_j rho_i A_j† as a (J, I, d, d) stack, from two
+def _povm(kraus: np.ndarray) -> np.ndarray:
+    """POVM elements E_j = A_j† A_j of a (..., J, d, d) Kraus stack."""
+    return kraus.conj().swapaxes(-1, -2) @ kraus
+
+
+def _check_complete(kraus: np.ndarray) -> None:
+    """Raise unless each (..., J, d, d) Kraus set has sum_j A_j† A_j = I within
+    1e-8 in Frobenius norm; the norm of all of them at once settles most stacks."""
+    dev = _povm(kraus).sum(axis=-3) - np.eye(kraus.shape[-1])
+    if not np.linalg.norm(dev) <= 1e-8 and not (np.linalg.norm(dev, axis=(-2, -1)) <= 1e-8).all():
+        raise ValueError("Kraus operators do not satisfy completeness")
+
+
+def _conjugate(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Every conjugation A_kj rho_ki A_kj† of (..., J, d, d) Kraus operators
+    and (..., I, d, d) states as a (..., J, I, d, d) stack, from two batched
     BLAS products over reshaped stacks (a three-operand einsum is ~5x slower)."""
+    lead, (n_out, dim), n_mem = kraus.shape[:-3], kraus.shape[-3:-1], states.shape[-3]
+    left = (kraus.reshape(lead + (n_out * dim, dim))
+            @ states.swapaxes(-3, -2).reshape(lead + (dim, n_mem * dim)))
+    both = left.reshape(lead + (n_out, dim * n_mem, dim)) @ kraus.conj().swapaxes(-1, -2)
+    return both.reshape(lead + (n_out, dim, n_mem, dim)).swapaxes(-3, -2)
+
+
+def _conjugations(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
+    """The (J, I, d, d) Kraus conjugations of one instance."""
     if measurement.dim != ensemble.dim:
         raise DimensionMismatchError(
             f"measurement dim {measurement.dim} != ensemble dim {ensemble.dim}")
-    kraus = measurement.kraus_stack
     states = np.stack([s.matrix for s in ensemble.states])
-    n_out, dim, _ = kraus.shape
-    n_mem = states.shape[0]
-    left = kraus.reshape(n_out * dim, dim) @ states.transpose(1, 0, 2).reshape(dim, n_mem * dim)
-    both = left.reshape(n_out, dim * n_mem, dim) @ kraus.conj().swapaxes(1, 2)
-    return both.reshape(n_out, dim, n_mem, dim).transpose(0, 2, 1, 3)
+    return _conjugate(measurement.kraus_stack, states)
 
 
 def _member_sums(weights: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> np.ndarray:
@@ -509,44 +532,74 @@ def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,
     sorted uniform spacings. The measurement takes ``n_outcomes`` Ginibre
     factors G_j with random rank <= dim (rows zeroed) and sets
     A_j = G_j S^(-1/2) with S = sum_j G_j† G_j, which is complete up to
-    roundoff by construction. Deterministic for a fixed seed. The states
-    and the factors each take one normal draw, which yields the numbers of
-    one draw per state or factor in order, and the states are checked as
-    ``DensityOperator`` checks them, in one batched pass.
+    roundoff by construction. Deterministic for a fixed seed. A batch of
+    one of :func:`_random_batch`, which draws whole jobs.
     """
-    if dim < 2 or n_states < 1 or n_outcomes < 1:
+    probs, states, spectra, kraus, _, _ = _random_batch(dim, [(seed, n_states, n_outcomes, pure)])
+    return (Ensemble(probs[0], map(DensityOperator._derived, _frozen(states[0]), spectra[0])),
+            Measurement._derived(_frozen(kraus[0])))
+
+
+def _rank_draw(rng, dim: int, n_outcomes: int):
+    """Ranks and the normal draw of one instance's Ginibre factors."""
+    ranks = rng.integers(1, dim + 1, size=n_outcomes)
+    while ranks.sum() < dim:  # the factors must jointly span the space
+        pick = int(rng.integers(n_outcomes))
+        if ranks[pick] < dim:
+            ranks[pick] += 1
+    return ranks, rng.normal(size=(n_outcomes, 2, dim, dim))
+
+
+def _random_batch(dim: int, specs):
+    """The instances ``random_instance`` draws from ``(seed, n_states,
+    n_outcomes, pure)`` specs, as one zero-padded ``bounds._padded`` batch.
+    Per instance only its own generator runs, in the one-instance order:
+    uniform spacings, states, ranks, factors. The rest is stacked over the
+    job (forming and checking the probabilities, the states and the factor
+    totals, inverse roots, completeness); an instance whose total is
+    ill-conditioned redraws its ranks and factors from its own generator."""
+    if dim < 2 or any(n < 1 or j < 1 for _, n, j, _ in specs):
         raise ValueError("need dim >= 2, n_states >= 1, n_outcomes >= 1")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed, *_ in specs]
+    n_mem, n_out, pure = (np.array(c) for c in list(zip(*specs))[1:])
+    members = np.arange(n_mem.max()) < n_mem[:, None]
+    outcomes = np.arange(n_out.max()) < n_out[:, None]
+    cut = np.ones(members.shape)
+    spacings = [r.uniform(size=n - 1) for r, n in zip(rngs, n_mem)]
+    cut[:, :-1][members[:, 1:]] = np.concatenate(spacings)
+    probs = np.diff(np.sort(cut, axis=1), axis=1, prepend=0.0)  # the padding gets 1 - 1 = 0
+    if (probs < -1e-12).any() or (abs(probs.sum(axis=1) - 1.0) > 1e-10).any():
+        raise ValueError("ensemble probabilities must be non-negative and sum to 1")
 
-    spacings = np.sort(rng.uniform(size=n_states - 1))
-    probs = np.diff(np.concatenate(([0.0], spacings, [1.0])))
-
-    if pure:
-        z = rng.normal(size=(n_states, 2, dim))
-        v = z[:, 0] + 1j * z[:, 1]
-        norms = (v.conj()[:, None, :] @ v[:, :, None]).real
-        matrices = v[:, :, None] * v.conj()[:, None, :] / norms
-    else:
-        z = rng.normal(size=(n_states, 2, dim, dim))
+    normals = [r.normal(size=(n, 2, dim) if p else (n, 2, dim, dim))
+               for r, n, p in zip(rngs, n_mem, pure)]
+    states = np.zeros(probs.shape + (dim, dim), dtype=np.complex128)
+    for kind in set(pure.tolist()):
+        z = np.concatenate([x for x, p in zip(normals, pure) if p == kind])
         g = z[:, 0] + 1j * z[:, 1]
-        w = g @ g.conj().swapaxes(1, 2)
-        matrices = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
-    states = tuple(map(DensityOperator._derived, _frozen(matrices), _checked_spectra(matrices)))
+        if kind:
+            m = g[:, :, None] * g.conj()[:, None, :] / (g.conj()[:, None, :] @ g[:, :, None]).real
+        else:
+            w = g @ g.conj().swapaxes(1, 2)
+            m = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
+        states[members & (pure == kind)[:, None]] = m
+    spectra = np.zeros(probs.shape + (dim,))
+    spectra[members] = _checked_spectra(states[members])
 
-    while True:
-        ranks = rng.integers(1, dim + 1, size=n_outcomes)
-        while ranks.sum() < dim:  # the factors must jointly span the space
-            pick = int(rng.integers(n_outcomes))
-            if ranks[pick] < dim:
-                ranks[pick] += 1
-        z = rng.normal(size=(n_outcomes, 2, dim, dim))
-        factors = z[:, 0] + 1j * z[:, 1]
-        factors[np.arange(dim) >= ranks[:, None]] = 0.0
-        w, v = np.linalg.eigh((factors.conj().swapaxes(1, 2) @ factors).sum(axis=0))
-        if w[0] > 1e-4 * w[-1]:  # redraw rare ill-conditioned totals
-            break
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Ensemble(probs, states), Measurement(factors @ inv_root)
+    kraus = np.zeros((len(specs), outcomes.shape[1], dim, dim), dtype=np.complex128)
+    draw = np.ones(len(specs), dtype=bool)
+    while draw.any():  # redraw rare ill-conditioned totals
+        ranks, z = map(np.concatenate, zip(*(_rank_draw(rngs[k], dim, n_out[k])
+                                             for k in np.flatnonzero(draw))))
+        g = z[:, 0] + 1j * z[:, 1]
+        g[np.arange(dim) >= ranks[:, None]] = 0.0
+        kraus[outcomes & draw[:, None]] = g
+        w, v = np.linalg.eigh(_povm(kraus).sum(axis=1))
+        draw = ~(w[:, 0] > 1e-4 * w[:, -1])
+    inv_root = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    kraus = np.where(outcomes[..., None, None], kraus @ inv_root[:, None], 0.0)
+    _check_complete(kraus)
+    return probs, states, spectra, kraus, members, outcomes
 
 
 # ---------------------------------------------------------------------------

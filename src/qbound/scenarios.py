@@ -18,16 +18,15 @@ import numpy as np
 
 from .accinfo import (SearchConfigError, maximize_mutual_info, povm_from_vectors,
                       two_state_reference)
-from .bounds import (_coarse_terms, _corollary_terms, bound_reports, dimension_bound,
-                     dual_holevo_rhs, eqspec_check, saturation_predicates)
+from .bounds import (_chi_stage, _coarse_terms, _corollary_terms, _flags, _info_i, _padded,
+                     _pair_stack, _reports, dimension_bound, dual_holevo_rhs, eqspec_check)
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
                      uniform_ensemble_info_exact, uniform_ensemble_info_mc)
 from .infomeasures import (holevo_chi, info_gain_f, mutual_information,
                            shannon, subentropy)
-from .qobjects import (DensityOperator, Ensemble, Measurement, apply_measurement,
-                       coarse_grain, ensemble_from_json, ensemble_state,
-                       measurement_to_json, mix_measurements, pure_state,
-                       random_instance)
+from .qobjects import (DensityOperator, Ensemble, Measurement, _dot, _random_batch,
+                       apply_measurement, coarse_grain, ensemble_from_json, ensemble_state,
+                       measurement_to_json, mix_measurements, pure_state, random_instance)
 
 LN2 = float(np.log(2.0))
 
@@ -273,16 +272,14 @@ def _sub_seed(rng) -> int:
 
 def _scn_bound_chain(cfg: ScenarioConfig):
     """The bound chain on random instances, alternately mixed and pure: all
-    specs are drawn first, in the one-at-a-time order, then ``bound_reports``
-    evaluates the whole job as one stack. An instance passes when every
-    slack is >= -tol and the independent routes agree within ``eq_tol``."""
+    specs are drawn first, in the one-at-a-time order, then the whole job is
+    drawn as one padded batch and evaluated as one stack. An instance passes
+    when every slack is >= -tol and the independent routes agree within ``eq_tol``."""
     rng = np.random.default_rng(cfg.seed)
     eq_tol = cfg.param("eq_tol", 1e-9, float)
     specs = [(_sub_seed(rng), int(rng.integers(2, 9)), int(rng.integers(2, 10)), bool(t % 2))
              for t in range(cfg.trials)]
-    reports = bound_reports([random_instance(cfg.dim, n_states, n_outcomes, pure, seed)
-                             for seed, n_states, n_outcomes, pure in specs],
-                            [seed for seed, *_ in specs])
+    reports = _reports(_random_batch(cfg.dim, specs), [seed for seed, *_ in specs])
     records = []
     failures = 0
     worst_slack = np.inf
@@ -309,26 +306,23 @@ def _scn_bound_chain(cfg: ScenarioConfig):
 
 
 def _scn_saturation_classical(cfg: ScenarioConfig):
+    """I_i = I_f on random classical instances, drawn first in the
+    one-at-a-time order and evaluated as one stack."""
     rng = np.random.default_rng(cfg.seed)
     eq_tol = cfg.param("eq_tol", 1e-9, float)
-    records = []
-    failures = 0
-    max_eq_dev = 0.0
-    for _ in range(cfg.trials):
-        inst_seed = _sub_seed(rng)
-        ens, meas = random_diagonal_classical(cfg.dim, inst_seed)
-        flags = saturation_predicates(ens, meas)
-        analysis = apply_measurement(meas, ens)
-        info_i = mutual_information(analysis)
-        info_f = info_gain_f(analysis)
-        eq_dev = abs(info_i - info_f)
-        ok = flags.classical and eq_dev <= eq_tol
-        failures += 0 if ok else 1
-        max_eq_dev = max(max_eq_dev, eq_dev)
-        records.append({"seed": inst_seed, "info_i": info_i, "info_f": info_f,
-                        "eq_dev": eq_dev, "classical": flags.classical, "pass": ok})
-    summary = {"instances": cfg.trials, "failures": failures,
-               "max_eq_dev": float(max_eq_dev)}
+    seeds = [_sub_seed(rng) for _ in range(cfg.trials)]
+    batch = _padded([random_diagonal_classical(cfg.dim, seed) for seed in seeds])
+    s_rho, stack = _chi_stage(batch)[1], _pair_stack(batch)
+    info_i = _info_i(batch[0], stack)
+    info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+    eq_dev = np.abs(info_i - info_f)
+    classical = np.array([f.classical for f in _flags(batch)])
+    ok = classical & (eq_dev <= eq_tol)
+    records = [{"seed": seed, "info_i": i, "info_f": f, "eq_dev": dev, "classical": c, "pass": o}
+               for seed, i, f, dev, c, o in zip(seeds, info_i.tolist(), info_f.tolist(),
+                                                eq_dev.tolist(), classical.tolist(), ok.tolist())]
+    summary = {"instances": cfg.trials, "failures": int((~ok).sum()),
+               "max_eq_dev": float(eq_dev.max())}
     return records, summary
 
 
@@ -556,11 +550,9 @@ def _scn_subentropy_corollary(cfg: ScenarioConfig):
     in the one-at-a-time order and evaluated as one stack; the summary counts
     the subentropies that took the mpmath fallback and its most digits."""
     rng = np.random.default_rng(cfg.seed)
-    specs = [(_sub_seed(rng), int(rng.integers(2, 9)), int(rng.integers(2, 10)))
+    specs = [(_sub_seed(rng), int(rng.integers(2, 9)), int(rng.integers(2, 10)), True)
              for _ in range(cfg.trials)]
-    chi, info_i, sub, digits = _corollary_terms(
-        [random_instance(cfg.dim, n_states, n_outcomes, True, seed)
-         for seed, n_states, n_outcomes in specs])
+    chi, info_i, sub, digits = _corollary_terms(_random_batch(cfg.dim, specs))
     lhs = info_i + sub
     slack = chi - lhs
     ok = slack >= -cfg.tol

@@ -7,7 +7,8 @@ from scipy import stats
 from qbound.haarmc import (MCEstimate, distorted_moments_mc, distorted_sample,
                            haar_moment_mc, haar_state, haar_unitary, trial_rng,
                            uniform_ensemble_info_exact, uniform_ensemble_info_mc)
-from qbound.qobjects import DensityOperator, Measurement, pure_state, random_instance
+from qbound.infomeasures import subentropy
+from qbound.qobjects import PROB_FLOOR, DensityOperator, Measurement, pure_state, random_instance
 from qbound.scenarios import basis_projectors
 
 
@@ -74,6 +75,22 @@ class TestUniformEnsembleInfo:
             pred = uniform_ensemble_info_exact(meas)
             est = uniform_ensemble_info_mc(meas, 60000, seed + 10)
             assert est.within(pred, 3.5)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_stacked_prediction_matches_one_post_state_at_a_time(self, dim):
+        rng = np.random.default_rng(dim)
+        for t in range(20):
+            _, meas = random_instance(dim, 1, int(rng.integers(1, 7)), True,
+                                      int(rng.integers(2 ** 32)))
+            if t == 0:  # an outcome of probability 0, skipped by both
+                meas = Measurement(list(meas.kraus) + [np.zeros((dim, dim))])
+            pred = subentropy(DensityOperator(np.eye(dim) / dim))
+            for a in meas.kraus:
+                w = a @ a.conj().T
+                tr = float(np.trace(w).real)
+                if tr / dim >= PROB_FLOOR:
+                    pred -= tr / dim * subentropy(DensityOperator(w / tr))
+            assert abs(uniform_ensemble_info_exact(meas) - pred) <= 1e-14
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):

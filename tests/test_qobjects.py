@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qbound import qobjects
+from qbound.bounds import _reports, bound_reports
 from qbound.qobjects import (DensityOperator, DimensionMismatchError, _checked_spectra,
-                             EmptyGroupError, Ensemble, Measurement,
+                             _random_batch, EmptyGroupError, Ensemble, Measurement,
                              apply_measurement, coarse_grain, ensemble_from_json,
                              ensemble_state, ensemble_to_json, matrix_from_json,
                              matrix_to_json, measurement_from_json,
@@ -310,6 +316,79 @@ def test_batched_state_checks_reject_what_the_constructor_rejects(kind):
     with pytest.raises(ValueError):
         _checked_spectra(m)
     _checked_spectra(np.delete(m, 1, axis=0))  # the others pass
+
+
+@st.composite
+def jobs(draw):
+    """A dimension and 1-6 specs (seed, n_states, n_outcomes, pure) of mixed shapes."""
+    spec = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 9),
+                     st.booleans())
+    return draw(st.integers(2, 6)), draw(st.lists(spec, min_size=1, max_size=6))
+
+
+def padded_draw(dim, spec, n_mem, n_out):
+    """``one_draw_at_a_time`` of one spec, zero-padded to ``n_mem`` members
+    and ``n_out`` outcomes, with its member and outcome masks."""
+    seed, n_states, n_outcomes, pure = spec
+    drawn = one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed)[:4]
+    padded = (np.zeros(n_mem), np.zeros((n_mem, dim, dim), dtype=complex),
+              np.zeros((n_mem, dim)), np.zeros((n_out, dim, dim), dtype=complex))
+    for out, arrays in zip(padded, drawn):
+        out[:len(arrays)] = arrays
+    return padded + (np.arange(n_mem) < n_states, np.arange(n_out) < n_outcomes)
+
+
+@given(jobs())
+@example((2, [(5, 3, 4, False), (37, 2, 1, True), (6, 8, 9, True)]))  # 37 and 150 redraw
+@example((4, [(9, 1, 9, True), (10, 5, 1, False), (150, 2, 2, True)]))
+def test_whole_job_draws_have_the_bits_of_one_draw_at_a_time(job):
+    dim, specs = job
+    batch = _random_batch(dim, specs)
+    n_mem, n_out = batch[0].shape[1], batch[3].shape[1]
+    for k, spec in enumerate(specs):
+        for got, want in zip((a[k] for a in batch), padded_draw(dim, spec, n_mem, n_out)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(jobs())
+def test_whole_job_draws_feed_the_kernel_as_padded_instances_do(job):
+    dim, specs = job
+    seeds = [seed for seed, *_ in specs]
+    instances = [random_instance(dim, n_states, n_outcomes, pure, seed)
+                 for seed, n_states, n_outcomes, pure in specs]
+    assert bound_reports(instances, seeds) == _reports(_random_batch(dim, specs), seeds)
+
+
+JOB = [(1, 2, 2, True), (2, 3, 4, False), (3, 2, 3, True)]
+
+
+@pytest.mark.parametrize("kind", ["non-hermitian", "trace", "negative"])
+def test_whole_job_draws_reject_a_spoiled_state_as_the_constructor_does(kind, monkeypatch):
+    spoiled = mutated_states(kind)[1]
+    with pytest.raises(ValueError) as constructor:
+        DensityOperator(spoiled)
+    check = qobjects._checked_spectra
+
+    def spoil_one(m):
+        m = m.copy()
+        m[3] = spoiled
+        return check(m)
+
+    monkeypatch.setattr(qobjects, "_checked_spectra", spoil_one)
+    with pytest.raises(ValueError, match=re.escape(str(constructor.value).split(",")[0])):
+        _random_batch(3, JOB)
+
+
+def test_whole_job_draws_reject_an_incomplete_factor_set(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def off_by_one_percent(totals):  # spoils the inverse root of the second instance
+        w, v = eigh(totals)
+        return w * np.where(np.arange(len(w)) == 1, 1.01, 1.0)[:, None], v
+
+    monkeypatch.setattr(np.linalg, "eigh", off_by_one_percent)
+    with pytest.raises(ValueError, match="completeness"):
+        _random_batch(3, JOB)
 
 
 def test_stacked_completeness_check_rejects_an_incomplete_measurement():

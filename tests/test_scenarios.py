@@ -6,6 +6,7 @@ import pytest
 
 from qbound import scenarios
 from qbound.accinfo import OptResult
+from qbound.bounds import saturation_predicates
 from qbound.cli import main
 from qbound.infomeasures import (_subentropy_table, holevo_chi, info_gain_f,
                                  mutual_information, subentropy)
@@ -306,6 +307,31 @@ def test_stacked_corollary_matches_the_one_at_a_time_loop(dim, seed):
         assert abs(r["corollary_lhs"] - lhs) <= 1e-14
         assert abs(r["chi"] - chi) <= 1e-14
         assert r["corollary_slack"] == r["chi"] - r["corollary_lhs"]
+
+
+def one_at_a_time_saturation(cfg):
+    """Test-only port of the classical-saturation loop as it ran instance by instance."""
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for _ in range(cfg.trials):
+        inst_seed = scenarios._sub_seed(rng)
+        ens, meas = scenarios.random_diagonal_classical(cfg.dim, inst_seed)
+        analysis = apply_measurement(meas, ens)
+        out.append((inst_seed, mutual_information(analysis), info_gain_f(analysis),
+                    saturation_predicates(ens, meas).classical))
+    return out
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 1), (3, 2), (5, 3), (6, 4)])
+def test_stacked_saturation_matches_the_one_at_a_time_loop(dim, seed):
+    cfg = small_config("saturation-classical", seed=seed, dim=dim, trials=30)
+    report = run_scenario(cfg)
+    expected = one_at_a_time_saturation(cfg)
+    assert len(report.records) == len(expected) and report.failures == 0
+    for r, (inst_seed, info_i, info_f, classical) in zip(report.records, expected):
+        assert (r["seed"], r["classical"], r["pass"]) == (inst_seed, classical, True)
+        assert abs(r["info_i"] - info_i) <= 1e-14 and abs(r["info_f"] - info_f) <= 1e-14
+        assert r["eq_dev"] == abs(r["info_i"] - r["info_f"])
 
 
 @pytest.mark.parametrize("grid", [21, 101])
