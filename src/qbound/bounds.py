@@ -26,6 +26,10 @@ from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatc
                        _neg_xlogx, _outcome_stack, _povm, ensemble_state, entropies)
 
 
+SWW_ROUTE_TOL = 1e-9  # largest disagreement allowed between the two ``sww`` routes
+EQSPEC_TOL = 1e-8  # negligibility and proportionality tolerance of ``eqspec_check``
+
+
 class NotPureEnsembleError(ValueError):
     """The bound requires a pure-state ensemble."""
 
@@ -83,18 +87,18 @@ def _sww_chi_form(stack: dict, chi):
     return chi - _dot(stack["outcome_probs"], chis)
 
 
-def sww_rhs(analysis: OutcomeAnalysis, tol: float = 1e-9) -> float:
+def sww_rhs(analysis: OutcomeAnalysis) -> float:
     """Right-hand side of the strengthened (posterior-corrected) bound.
 
-    Both evaluation routes are computed and must agree within ``tol``;
-    the Holevo-difference route is returned.
+    Both evaluation routes are computed and must agree within
+    ``SWW_ROUTE_TOL``; the Holevo-difference route is returned.
     """
     if analysis.coarse:
         raise ValueError("the bound applies to efficient analyses")
     chi = holevo_chi(analysis.ensemble)
     terms = float(_sww_terms_form(analysis._stack, chi)[0])
     chi_form = float(_sww_chi_form(analysis._stack, chi)[0])
-    if abs(terms - chi_form) > tol:
+    if abs(terms - chi_form) > SWW_ROUTE_TOL:
         raise AssertionError(
             f"bound evaluation routes disagree: {terms} vs {chi_form}")
     return chi_form
@@ -135,16 +139,17 @@ def bsub_rhs(acc_total: float, analysis: OutcomeAnalysis) -> float:
     return float(acc_total - analysis.outcome_probs @ sub)
 
 
-def eqspec_check(ensemble: Ensemble, measurement: Measurement,
-                 tol: float = 1e-8):
+def eqspec_check(ensemble: Ensemble, measurement: Measurement):
     """Check whether all coding states agree up to a scalar on each
     outcome operator's support.
 
     For each outcome j, every state is compressed by the support projector
     of A_j. The candidate scalar for an ordered pair (i, k) is the trace
-    ratio (the only possibility when proportionality holds). Pairs where
-    exactly one compression is non-negligible fail; pairs where both are
-    negligible pass vacuously.
+    ratio (the only possibility when proportionality holds). A compression
+    is negligible when its trace is at most ``EQSPEC_TOL``; pairs where
+    exactly one is non-negligible fail, pairs where both are pass
+    vacuously, and the rest must agree within ``EQSPEC_TOL`` relative to
+    their Frobenius scale.
 
     Returns ``(satisfied, alphas)`` with ``alphas[i, k, j]`` the trace
     ratio (NaN where undefined).
@@ -165,15 +170,15 @@ def eqspec_check(ensemble: Ensemble, measurement: Measurement,
                 if i == k:
                     continue
                 ti, tk = traces[i], traces[k]
-                if ti <= tol and tk <= tol:
+                if ti <= EQSPEC_TOL and tk <= EQSPEC_TOL:
                     continue
-                if ti <= tol or tk <= tol:
+                if ti <= EQSPEC_TOL or tk <= EQSPEC_TOL:
                     satisfied = False
                     continue
                 alpha = ti / tk
                 alphas[i, k, j] = alpha
                 scale = max(1.0, np.linalg.norm(comp[i]), np.linalg.norm(comp[k]))
-                if np.linalg.norm(comp[i] - alpha * comp[k]) > tol * scale:
+                if np.linalg.norm(comp[i] - alpha * comp[k]) > EQSPEC_TOL * scale:
                     satisfied = False
     return satisfied, alphas
 
@@ -325,6 +330,11 @@ def _info_i(probs, stack):
     return _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
 
 
+def _info_f(s_rho, stack):
+    """S[rho] - sum_j Q_j S[rho'_j] of each instance of a stack."""
+    return s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+
+
 def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndarray]:
     """I_i and I_f of one ensemble under K inefficient measurements with equal
     group counts, as (K,) arrays from one ``_outcome_stack`` of their pieces."""
@@ -332,9 +342,7 @@ def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndar
     probs = np.broadcast_to(ensemble.probs, pieces.shape[:1] + ensemble.probs.shape)
     stack = _outcome_stack(probs, pieces.reshape((-1,) + pieces.shape[-2:]),
                            np.ones(pieces.shape[:3], bool))
-    info_f = von_neumann(ensemble_state(ensemble)) - _dot(stack["outcome_probs"],
-                                                          stack["post_entropies"])
-    return _info_i(probs, stack), info_f
+    return _info_i(probs, stack), _info_f(von_neumann(ensemble_state(ensemble)), stack)
 
 
 def _corollary_terms(batch):
@@ -357,7 +365,7 @@ def _reports(batch, seeds, stack=None) -> list[BoundReport]:
     del povm  # free the POVM stack before the pairs
     stack = _pair_stack(batch) if stack is None else stack
     info_i = _info_i(probs, stack)
-    info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+    info_f = _info_f(s_rho, stack)
     columns = zip(seeds, info_i.tolist(), info_f.tolist(), chi.tolist(), dual.tolist(),
                   _sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist(),
                   _eqx(stack, s_rho, probs, s_members).tolist(),

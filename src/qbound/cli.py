@@ -11,7 +11,6 @@ Reports go to stdout (or ``--out``) as JSON or CSV. The exit code is 0
 iff the scenario recorded zero failures; invalid input (scenario name,
 ``--param``, trial count, ``--ensemble`` file, search budget, restarts or
 outcome count) prints ``error: ...``, code 2.
-``QBOUND_THREADS`` caps the worker count used by the Monte Carlo layers.
 """
 
 from __future__ import annotations

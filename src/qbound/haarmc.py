@@ -2,15 +2,13 @@
 identities.
 
 Reproducibility contract: trial ``t`` of a run seeded with ``seed`` draws
-from a counter-based generator keyed by ``(seed, t)``, and reductions
-accumulate in trial order. Results are therefore bit-identical for any
-worker count, and trials can be farmed out freely.
+from a counter-based generator keyed by ``(seed, t)``, trials run serially
+in chunks of ``_CHUNK``, and reductions accumulate in trial order, chunk by
+chunk. Results are therefore bit-identical for a seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,30 +58,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d)).conj()
 
 
-def default_workers() -> int:
-    """Worker count: QBOUND_THREADS if set, else 1 (serial)."""
-    try:
-        return max(1, int(os.environ.get("QBOUND_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _chunks(trials: int):
     return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
 
 
-def _map_chunks(fn, trials: int, workers: int | None):
-    """Evaluate fn over trial chunks, returning results in chunk order."""
-    spans = _chunks(trials)
-    workers = workers if workers is not None else default_workers()
-    if workers <= 1 or len(spans) <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
-
-
-def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int,
-                             workers: int | None = None) -> MCEstimate:
+def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -> MCEstimate:
     """Index information extracted from the uniform pure-state ensemble.
 
     Estimates H[Q_j] - E_psi H[Q(j|psi)] over Haar-random states. The
@@ -109,7 +88,7 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int,
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
         return -terms.sum(axis=1)
 
-    h = np.concatenate(_map_chunks(run, trials, workers))
+    h = np.concatenate([run(lo, hi) for lo, hi in _chunks(trials)])
     mean_h = float(h.mean())
     stderr = float(h.std(ddof=1) / np.sqrt(trials))
     return MCEstimate(mean=h_prior - mean_h, std_error=stderr,
@@ -162,8 +141,7 @@ class DistortedMoments:
 
 
 def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
-                         trials: int, seed: int,
-                         workers: int | None = None) -> DistortedMoments:
+                         trials: int, seed: int) -> DistortedMoments:
     """Sample the distorted ensemble and accumulate its first moments."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -182,13 +160,8 @@ def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
                 (re * re).sum(axis=0), (im * im).sum(axis=0),
                 w.sum(), (w * w).sum())
 
-    parts = _map_chunks(run, trials, workers)
-    sum_re = sum(p[0] for p in parts)
-    sum_im = sum(p[1] for p in parts)
-    sq_re = sum(p[2] for p in parts)
-    sq_im = sum(p[3] for p in parts)
-    sum_w = sum(p[4] for p in parts)
-    sq_w = sum(p[5] for p in parts)
+    sum_re, sum_im, sq_re, sq_im, sum_w, sq_w = (
+        sum(col) for col in zip(*(run(lo, hi) for lo, hi in _chunks(trials))))
 
     def stderr(s, sq):
         var = (sq - s * s / trials) / (trials - 1)
@@ -203,10 +176,8 @@ def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
                             trials=trials, seed=seed)
 
 
-def haar_moment_mc(dim: int, trials: int, seed: int,
-                   workers: int | None = None) -> DistortedMoments:
+def haar_moment_mc(dim: int, trials: int, seed: int) -> DistortedMoments:
     """First moment of the raw uniform ensemble via the identity distortion:
     the estimated mean state should equal I/dim."""
     return distorted_moments_mc(DensityOperator(np.eye(dim) / dim),
-                                np.eye(dim, dtype=np.complex128),
-                                trials, seed, workers=workers)
+                                np.eye(dim, dtype=np.complex128), trials, seed)

@@ -43,54 +43,54 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
+def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix, or of each
     matrix of a (..., d, d) stack.
 
     Raises :class:`NotHermitianError` if an input deviates from
-    Hermiticity by more than ``tol`` relative to its Frobenius scale.
-    Eigenvalues in ``[-tol, 0)`` (same scale) are treated as roundoff
+    Hermiticity by more than ``PSD_TOL`` relative to its Frobenius scale.
+    Eigenvalues in ``[-PSD_TOL, 0)`` (same scale) are treated as roundoff
     noise and clipped to zero; anything more negative raises
     :class:`NotPSDError`.
     """
     m = as_square_complex(m, stack=True)
     scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if not (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale).all():
+    if not (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= PSD_TOL * scale).all():
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
-    low = w[..., 0] < -tol * scale
+    low = w[..., 0] < -PSD_TOL * scale
     if low.any():
         raise NotPSDError(f"eigenvalue {w[..., 0][low].min():.3e} below PSD tolerance")
     w = np.where(w < 0.0, 0.0, w)
     return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def support_projector(a, tol: float = SUPPORT_TOL) -> np.ndarray:
+def support_projector(a) -> np.ndarray:
     """Projector onto the support of A (the span of its right-singular
-    vectors with singular value above ``tol`` times the largest one)."""
+    vectors with singular value above ``SUPPORT_TOL`` times the largest one)."""
     a = as_square_complex(a)
     _, s, vh = np.linalg.svd(a)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise ZeroOperatorError("support projector of the zero operator is undefined")
-    v = vh[s > tol * smax].conj().T
+    v = vh[s > SUPPORT_TOL * smax].conj().T
     return hermitize(v @ v.conj().T)
 
 
-def operator_rank(a, tol: float = SUPPORT_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def operator_rank(a) -> int:
+    """Number of singular values above ``SUPPORT_TOL`` times the largest one."""
     s = np.linalg.svd(as_square_complex(a), compute_uv=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return 0
-    return int(np.sum(s > tol * smax))
+    return int(np.sum(s > SUPPORT_TOL * smax))
 
 
-def commutes(a, b, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ||AB - BA||_F <= tol * max(1, ||A||_F ||B||_F)."""
+def commutes(a, b) -> bool:
+    """True iff ||AB - BA||_F <= HERMITIAN_TOL * max(1, ||A||_F ||B||_F)."""
     a = as_square_complex(a)
     b = as_square_complex(b)
     if a.shape != b.shape:
         raise ValueError("commutes requires matrices of equal dimension")
     scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a @ b - b @ a)) <= tol * scale
+    return float(np.linalg.norm(a @ b - b @ a)) <= HERMITIAN_TOL * scale

@@ -18,13 +18,14 @@ import numpy as np
 
 from .accinfo import (SearchConfigError, maximize_mutual_info, povm_from_vectors,
                       two_state_reference)
-from .bounds import (_chi_stage, _coarse_terms, _corollary_terms, _flags, _info_i, _padded,
-                     _pair_stack, _reports, dimension_bound, dual_holevo_rhs, eqspec_check)
+from .bounds import (_chi_stage, _coarse_terms, _corollary_terms, _flags, _info_f, _info_i,
+                     _padded, _pair_stack, _reports, dimension_bound, dual_holevo_rhs,
+                     eqspec_check)
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
                      uniform_ensemble_info_exact, uniform_ensemble_info_mc)
 from .infomeasures import (holevo_chi, info_gain_f, mutual_information,
                            shannon, subentropy)
-from .qobjects import (DensityOperator, Ensemble, Measurement, _dot, _random_batch,
+from .qobjects import (DensityOperator, Ensemble, Measurement, _random_batch,
                        apply_measurement, coarse_grain, ensemble_from_json, ensemble_state,
                        measurement_to_json, mix_measurements, pure_state, random_instance)
 
@@ -78,13 +79,17 @@ class ScenarioConfig:
 
     def param(self, key, default, kind=None):
         """Parameter ``key``, converted by ``kind`` (such as ``int``) when
-        given and not None."""
+        given and not None. Every ``int`` parameter is a count: an integral
+        value >= 1, never a truncated float or a bool."""
         value = self.params.get(key, default)
         try:
-            return value if kind is None or value is None else kind(value)
-        except (TypeError, ValueError) as exc:
+            out = value if kind is None or value is None else kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError(
                 f"parameter {key}={value!r} is not a valid {kind.__name__}") from exc
+        if kind is int and value is not None and (out != value or out < 1 or value is True):
+            raise InvalidConfigError(f"parameter {key}={value!r} is not a count >= 1")
+        return out
 
 
 @dataclass
@@ -313,8 +318,7 @@ def _scn_saturation_classical(cfg: ScenarioConfig):
     seeds = [_sub_seed(rng) for _ in range(cfg.trials)]
     batch = _padded([random_diagonal_classical(cfg.dim, seed) for seed in seeds])
     s_rho, stack = _chi_stage(batch)[1], _pair_stack(batch)
-    info_i = _info_i(batch[0], stack)
-    info_f = s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+    info_i, info_f = _info_i(batch[0], stack), _info_f(s_rho, stack)
     eq_dev = np.abs(info_i - info_f)
     classical = np.array([f.classical for f in _flags(batch)])
     ok = classical & (eq_dev <= eq_tol)
@@ -429,6 +433,7 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     opt_budget = cfg.param("opt_budget", 2000, int)
     opt_restarts = cfg.param("opt_restarts", 3, int)
+    family_states = cfg.param("family_states", 3, int)
     records = []
     failures = 0
 
@@ -456,7 +461,7 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
 
     # Satisfied family: posterior ensembles carry no recoverable index
     # information, and the optimizer respects the support-dimension bound.
-    ens_ok, meas_ok = eqspec_satisfied_family(cfg.param("family_states", 3, int))
+    ens_ok, meas_ok = eqspec_satisfied_family(family_states)
     sat_ok, _ = eqspec_check(ens_ok, meas_ok)
     analysis = apply_measurement(meas_ok, ens_ok)
     posterior_worst = 0.0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qbound.haarmc import (MCEstimate, distorted_moments_mc, distorted_sample,
+from qbound.haarmc import (_CHUNK, MCEstimate, distorted_moments_mc, distorted_sample,
                            haar_moment_mc, haar_state, haar_unitary, trial_rng,
                            uniform_ensemble_info_exact, uniform_ensemble_info_mc)
-from qbound.infomeasures import subentropy
+from qbound.infomeasures import shannon, subentropy
+from qbound.matrixcore import sqrt_psd
 from qbound.qobjects import PROB_FLOOR, DensityOperator, Measurement, pure_state, random_instance
 from qbound.scenarios import basis_projectors
 
@@ -96,12 +97,11 @@ class TestUniformEnsembleInfo:
         with pytest.raises(ValueError):
             uniform_ensemble_info_mc(basis_projectors(2), 50, 0)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic(self):
         meas = basis_projectors(2)
-        a = uniform_ensemble_info_mc(meas, 5000, 7, workers=1)
-        b = uniform_ensemble_info_mc(meas, 5000, 7, workers=1)
-        c = uniform_ensemble_info_mc(meas, 5000, 7, workers=3)
-        assert a == b == c
+        a = uniform_ensemble_info_mc(meas, 5000, 7)
+        b = uniform_ensemble_info_mc(meas, 5000, 7)
+        assert a == b
         assert isinstance(a, MCEstimate)
 
 
@@ -144,6 +144,42 @@ class TestDistorted:
     def test_deterministic(self):
         rho = DensityOperator(np.diag([0.7, 0.3]))
         a = distorted_moments_mc(rho, np.eye(2), 2000, 3)
-        b = distorted_moments_mc(rho, np.eye(2), 2000, 3, workers=2)
+        b = distorted_moments_mc(rho, np.eye(2), 2000, 3)
         np.testing.assert_array_equal(a.mean_state, b.mean_state)
         assert a.weight_mean == b.weight_mean
+
+
+@pytest.mark.parametrize("trials", [_CHUNK + 5, 2 * _CHUNK + 3])
+def test_estimators_follow_the_per_trial_streams_across_chunks(trials):
+    """Both estimators equal a one-trial-at-a-time port that draws trial t
+    from haar_state(dim, trial_rng(seed, t)), over runs that end in a
+    partial chunk."""
+    dim, seed = 3, 11
+    _, meas = random_instance(dim, 1, 4, True, 5)
+    es = [a.conj().T @ a for a in meas.kraus]
+    h = []
+    for t in range(trials):
+        psi = haar_state(dim, trial_rng(seed, t))
+        probs = [max(np.vdot(psi, e @ psi).real, 0.0) for e in es]
+        h.append(-math.fsum(p * math.log(p) for p in probs if p > 0.0))
+    mean_h = math.fsum(h) / trials
+    stderr = math.sqrt(math.fsum((x - mean_h) ** 2 for x in h) / (trials - 1) / trials)
+    est = uniform_ensemble_info_mc(meas, trials, seed)
+    assert abs(est.mean - (shannon([np.trace(e).real / dim for e in es]) - mean_h)) <= 1e-14
+    assert abs(est.std_error - stderr) <= 1e-14
+
+    g = np.random.default_rng(12)
+    w = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
+    rho = DensityOperator(w @ w.conj().T / np.trace(w @ w.conj().T).real)
+    unitary = haar_unitary(dim, g)
+    bmat = sqrt_psd(rho.matrix) @ unitary
+    outer, weight = [], []
+    for t in range(trials):
+        phi = bmat @ haar_state(dim, trial_rng(seed, t))
+        outer.append(dim * np.outer(phi, phi.conj()))
+        weight.append(dim * np.vdot(phi, phi).real)
+    entries = np.array(outer).reshape(trials, -1).T
+    mean_state = np.array([complex(math.fsum(x.real), math.fsum(x.imag)) for x in entries])
+    moments = distorted_moments_mc(rho, unitary, trials, seed)
+    assert np.abs(moments.mean_state.ravel() - mean_state / trials).max() <= 1e-14
+    assert abs(moments.weight_mean - math.fsum(weight) / trials) <= 1e-14

@@ -365,6 +365,14 @@ def test_corollary_diagnostics_are_deterministic():
     ["scenario", "two-state-accinfo", "--param", "overlaps=0.5"],
     ["scenario", "two-state-accinfo", "--param", "overlaps=[2.0]"],
     ["scenario", "two-state-accinfo", "--param", "overlaps=abc"],
+    ["scenario", "eqspec-recovery", "--param", "family_states=0"],
+    ["scenario", "eqspec-recovery", "--param", "family_states=-1"],
+    ["optimize", "--param", "n_states=0"],
+    ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=0"],
+    ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=-2"],
+    ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=true"],
+    ["scenario", "inefficient-violation", "--param", "grid=2.5"],
+    ["scenario", "inefficient-violation", "--param", "grid=Infinity"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
