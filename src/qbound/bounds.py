@@ -8,7 +8,8 @@ the equality of the dual bound with the entropy-reduction gain.
 ``bound_reports`` evaluates many instances as one stack, so each numpy or
 LAPACK call serves them all; the per-instance evaluators are stacks of one.
 The kernel takes the zero-padded batch of ``_padded`` or of a whole-job
-draw (``qobjects._random_batch``) and forms its conjugations in one product.
+draw (``qobjects._random_batch``) and forms its conjugations in one product;
+``_chain_terms`` returns the chain as (K,) columns, ``BoundReport`` rows of them.
 """
 
 from __future__ import annotations
@@ -245,18 +246,17 @@ def _padded(instances):
             np.arange(kraus.shape[1]) < n_out[:, None])
 
 
-def _flags(batch, povm: np.ndarray | None = None) -> list[SaturationFlags]:
-    """Saturation flags of a ``_padded`` batch (with its POVM elements, if
-    formed already); the ranks come from one batched singular-value call
-    over the outcomes that exist."""
+def _flags(batch) -> list[SaturationFlags]:
+    """Saturation flags of a ``_padded`` batch; the ranks come from one
+    batched singular-value call over the outcomes that exist."""
     _, states, spectra, kraus, members, outcomes = batch
-    povm = _povm(kraus) if povm is None else povm
     s = np.linalg.svd(kraus[outcomes], compute_uv=False)
     rank_one = np.ones(outcomes.shape, dtype=bool)
     rank_one[outcomes] = (s > SUPPORT_TOL * s[:, :1]).sum(axis=-1) == 1
     pure = (spectra[..., -1] >= 1.0 - PURITY_TOL) | ~members
     return [SaturationFlags(*f) for f in zip(
-        _all_commute(povm).tolist(), _all_commute(np.concatenate([states, kraus], 1)).tolist(),
+        _all_commute(_povm(kraus)).tolist(),
+        _all_commute(np.concatenate([states, kraus], 1)).tolist(),
         pure.all(axis=-1).tolist(), rank_one.all(axis=-1).tolist())]
 
 
@@ -354,28 +354,34 @@ def _corollary_terms(batch):
     return chi, _info_i(batch[0], stack), _dot(stack["outcome_probs"], sub), digits
 
 
-def _reports(batch, seeds, stack=None) -> list[BoundReport]:
-    """The stacked kernel: the ``BoundReport`` of each instance of a
-    ``_padded`` batch. Its ``_outcome_stack``, unless given, is built last,
-    so that the other temporaries never sit on top of it."""
+def _chain_terms(batch, stack=None) -> tuple[dict, dict]:
+    """The bound chain of a ``_padded`` batch as (K,) columns: the
+    quantities of ``BoundReport`` in its field order, and its five slacks.
+    The ``_outcome_stack``, unless given, is built last, so that the other
+    temporaries never sit on top of it."""
     rho, s_rho, s_members, chi = _chi_stage(batch)
-    probs, povm = batch[0], _povm(batch[3])
-    dual, spectra_dual = _dual_and_spectra(rho, s_rho, povm)
-    flags = _flags(batch, povm)
-    del povm  # free the POVM stack before the pairs
+    probs = batch[0]
+    dual, spectra_dual = _dual_and_spectra(rho, s_rho, _povm(batch[3]))
     stack = _pair_stack(batch) if stack is None else stack
-    info_i = _info_i(probs, stack)
-    info_f = _info_f(s_rho, stack)
-    columns = zip(seeds, info_i.tolist(), info_f.tolist(), chi.tolist(), dual.tolist(),
-                  _sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist(),
-                  _eqx(stack, s_rho, probs, s_members).tolist(),
-                  _spectrum_deviation(spectra_dual, stack).tolist(), flags)
-    return [BoundReport(dim=rho.shape[-1], seed=seed, info_i=i, info_f=f, chi=c, dual=d,
-                        sww=sww, sww_alt=alt, eqx=eqx, spectrum_identity_dev=dev, flags=flag,
-                        slacks={"info_i_nonneg": i, "info_f_minus_info_i": f - i,
-                                "sww_minus_info_i": sww - i, "chi_minus_sww": c - sww,
-                                "dual_minus_info_i": d - i})
-            for seed, i, f, c, d, sww, alt, eqx, dev, flag in columns]
+    info_i, info_f, sww = _info_i(probs, stack), _info_f(s_rho, stack), _sww_chi_form(stack, chi)
+    terms = {"info_i": info_i, "info_f": info_f, "chi": chi, "dual": dual, "sww": sww,
+             "sww_alt": _sww_terms_form(stack, chi), "eqx": _eqx(stack, s_rho, probs, s_members),
+             "spectrum_dev": _spectrum_deviation(spectra_dual, stack)}
+    slacks = {"info_i_nonneg": info_i, "info_f_minus_info_i": info_f - info_i,
+              "sww_minus_info_i": sww - info_i, "chi_minus_sww": chi - sww,
+              "dual_minus_info_i": dual - info_i}
+    return terms, slacks
+
+
+def _reports(batch, seeds, stack=None) -> list[BoundReport]:
+    """The ``BoundReport`` of each instance of a ``_padded`` batch, built from
+    its flags and the columns of ``_chain_terms``."""
+    flags = _flags(batch)
+    terms, slacks = _chain_terms(batch, stack)
+    rows = zip(seeds, flags, zip(*(c.tolist() for c in terms.values())),
+               zip(*(c.tolist() for c in slacks.values())))
+    return [BoundReport(batch[1].shape[-1], seed, *values, flag, dict(zip(slacks, row)))
+            for seed, flag, values, row in rows]
 
 
 def bound_reports(instances, seeds=None) -> list[BoundReport]:

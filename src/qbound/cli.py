@@ -9,7 +9,8 @@ Subcommands:
 
 Reports go to stdout (or ``--out``) as JSON or CSV. The exit code is 0
 iff the scenario recorded zero failures; invalid input (scenario name,
-``--param``, trial count, ``--ensemble`` file, search budget, restarts or
+a ``--param`` key the scenario does not read or a malformed value, seed,
+tolerance, trial count, ``--ensemble`` file, search budget, restarts or
 outcome count) prints ``error: ...``, code 2.
 """
 

@@ -6,12 +6,13 @@ import pytest
 
 from qbound import scenarios
 from qbound.accinfo import OptResult
-from qbound.bounds import saturation_predicates
+from qbound.bounds import (_chi_stage, _pair_stack, _reports, _sww_chi_form, _sww_terms_form,
+                           saturation_predicates)
 from qbound.cli import main
 from qbound.infomeasures import (_subentropy_table, holevo_chi, info_gain_f,
                                  mutual_information, subentropy)
-from qbound.qobjects import (Measurement, _clean_spectrum, apply_measurement, coarse_grain,
-                             ensemble_state, mix_measurements, random_instance)
+from qbound.qobjects import (Measurement, _clean_spectrum, _random_batch, apply_measurement,
+                             coarse_grain, ensemble_state, mix_measurements, random_instance)
 from qbound.scenarios import (SCENARIOS, InvalidConfigError, Report,
                               ScenarioConfig, UnknownScenarioError, _mc_retry,
                               _retry_seed, emit_report, run_scenario)
@@ -43,7 +44,7 @@ def test_every_registered_scenario_runs_clean():
         report = run_scenario(small_config(name))
         assert isinstance(report, Report)
         assert report.summary["failures"] == 0, (name, report.summary)
-        assert report.records
+        assert report.summary["instances"] == len(report.records) > 0
 
 
 def test_unknown_scenario():
@@ -58,6 +59,12 @@ def test_invalid_config():
         run_scenario(ScenarioConfig(name="bound-chain", tol=0.0))
     with pytest.raises(InvalidConfigError):
         run_scenario(ScenarioConfig(name="bound-chain", units="decibans"))
+    with pytest.raises(InvalidConfigError):
+        run_scenario(ScenarioConfig(name="bound-chain", seed=-1))
+    with pytest.raises(InvalidConfigError):
+        run_scenario(ScenarioConfig(name="bound-chain", tol=math.nan))
+    with pytest.raises(InvalidConfigError):
+        run_scenario(ScenarioConfig(name="haar", params={"eq_tol": 1e-9}))
 
 
 def test_json_round_trip(tmp_path):
@@ -373,6 +380,58 @@ def test_corollary_diagnostics_are_deterministic():
     ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=true"],
     ["scenario", "inefficient-violation", "--param", "grid=2.5"],
     ["scenario", "inefficient-violation", "--param", "grid=Infinity"],
+    ["verify", "--seed", "-1"],
+    ["scenario", "uniform-theorem", "--seed", "-5"],
+    ["verify", "--tol", "inf"],
+    ["scenario", "two-state-accinfo", "--param", "opt_tol=inf"],
+    ["verify", "--param", "eq_tol=-1"],
+    ["verify", "--param", "eq_tol=NaN"],
+    ["scenario", "two-state-accinfo", "--param", "opt_tol=-1"],
+    ["optimize", "--param", "pure=abc"],
+    ["optimize", "--param", "pure=0"],
+    ["verify", "--param", "eqtol=5"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
+
+
+@pytest.mark.parametrize("dim, params", [(2, {}), (3, {}), (4, {}), (5, {}), (6, {}),
+                                         (4, {"eq_tol": 1e-300})])
+def test_bound_chain_records_are_the_bound_reports_of_the_job(dim, params):
+    cfg = small_config("bound-chain", seed=dim, dim=dim, trials=10, params=params)
+    report = run_scenario(cfg)
+    specs = [(r["seed"], r["n_states"], r["n_outcomes"], r["pure"]) for r in report.records]
+    batch = _random_batch(dim, specs)
+    reps = _reports(batch, [seed for seed, *_ in specs])
+    chi, stack = _chi_stage(batch)[-1], _pair_stack(batch)
+    routes = zip(_sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist())
+    eq_tol = cfg.param("eq_tol", 1e-9, float)
+    for r, rep, (sww, sww_alt) in zip(report.records, reps, routes):
+        assert r["seed"] == rep.seed
+        for key in ("info_i", "info_f", "chi", "dual", "sww", "sww_alt", "eqx"):
+            assert r[key] == getattr(rep, key), key
+        assert (r["sww"], r["sww_alt"]) == (sww, sww_alt)
+        assert r["spectrum_dev"] == rep.spectrum_identity_dev
+        assert r["min_slack"] == rep.min_slack()
+        assert r["eq_dev"] == max(abs(rep.sww - rep.sww_alt), abs(rep.eqx - rep.sww),
+                                  abs(rep.dual - rep.info_f), rep.spectrum_identity_dev)
+        assert r["pass"] is (r["min_slack"] >= -cfg.tol and r["eq_dev"] <= eq_tol)
+    assert report.summary["worst_slack"] == min(rep.min_slack() for rep in reps)
+    assert report.summary["max_eq_dev"] == max(r["eq_dev"] for r in report.records)
+    assert report.failures == (10 if params else 0)
+
+
+@pytest.mark.parametrize("name, over, failing", [
+    ("bound-chain", dict(trials=10, params={"eq_tol": 1e-300}), 10),
+    ("two-state-accinfo", dict(params={"overlaps": [0.3, 0.8], "budget": 400, "restarts": 1,
+                                       "opt_tol": 1e-300}), 2),
+    ("inefficient-violation", dict(params={"grid": 2}), 0),
+])
+def test_the_runner_counts_instances_and_failing_records(name, over, failing):
+    report = run_scenario(small_config(name, **over))
+    assert report.summary["instances"] == len(report.records)
+    assert sum(r.get("pass") is False for r in report.records) == failing
+    if name == "inefficient-violation":  # its verdict: no grid point violates
+        assert report.summary["violations"] == 0 and report.failures == 1
+    else:
+        assert report.failures == failing == len(report.records)
