@@ -35,8 +35,10 @@ class MCEstimate:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one trial, derived from (seed, trial)."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, trial & _MASK64]))
+    """Counter-based generator for one trial, keyed by the exact uint64 pair
+    (seed mod 2**64, trial mod 2**64)."""
+    key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

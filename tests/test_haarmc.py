@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ class TestHaarState:
                             for t in range(n)])
         result = stats.ks_2samp(base, rotated)
         assert result.pvalue > 0.01
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 62 + 3, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64 + 7])
+def test_trial_key_is_the_exact_uint64_pair(seed):
+    key = trial_rng(seed, 9).bit_generator.state["state"]["key"]
+    assert key.tolist() == [seed % 2 ** 64, 9]
+
+
+@pytest.mark.parametrize("a, b", [(2 ** 63 + 1, 2 ** 63 + 2), (2 ** 64 - 1, 0)])
+def test_seeds_above_2_63_key_distinct_streams(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ma, mb = haar_moment_mc(2, 200, a), haar_moment_mc(2, 200, b)
+    assert not np.array_equal(ma.mean_state, mb.mean_state)
 
 
 class TestHaarUnitary:
