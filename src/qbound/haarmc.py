@@ -2,13 +2,17 @@
 identities.
 
 Reproducibility contract: trial ``t`` of a run seeded with ``seed`` draws
-from a counter-based generator keyed by ``(seed, t)``, trials run serially
-in chunks of ``_CHUNK``, and reductions accumulate in trial order, chunk by
-chunk. Results are therefore bit-identical for a seed.
+from a counter-based Philox generator keyed by the exact uint64 pair
+``(seed mod 2**64, t)``, trials run serially in chunks of ``_CHUNK``, and
+reductions accumulate in trial order, chunk by chunk. Results are therefore
+bit-identical for a seed. A chunk builds one Philox and re-keys it for each
+trial (key ``(seed, t)``, counter 0, empty buffer), which gives the stream of
+``trial_rng(seed, t)`` without building a generator per trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +64,36 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d)).conj()
 
 
+def _haar_block(dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Rows ``haar_state(dim, trial_rng(seed, t))`` for ``t`` in [lo, hi), bit
+    for bit: each trial re-keys one Philox through its state setter and draws
+    the 2*dim normals of haar_state's two calls in one call."""
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((hi - lo, 2 * dim))
+    for t in range(lo, hi):
+        key[1] = t
+        bitgen.state = state
+        draws[t - lo] = rng.normal(size=2 * dim)
+    return _unit_rows(draws[:, :dim] + 1j * draws[:, dim:], seed, lo)
+
+
+def _unit_rows(z: np.ndarray, seed: int, lo: int) -> np.ndarray:
+    """Divide each row of ``z`` by its norm, formed one row at a time as
+    np.linalg.norm forms it: a stacked reduction differs in the last bits.
+    Row i of norm <= 1e-12 is trial lo + i's first draw, which haar_state
+    rejects and redraws."""
+    nrm = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in z])
+    live = nrm > 1e-12
+    psi = z / np.where(live, nrm, 1.0)[:, None]
+    for i in np.flatnonzero(~live).tolist():
+        psi[i] = haar_state(z.shape[1], trial_rng(seed, lo + i))
+    return psi
+
+
 def _chunks(trials: int):
     return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
 
@@ -81,9 +115,7 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -
     h_prior = shannon(q)
 
     def run(lo: int, hi: int) -> np.ndarray:
-        psi = np.empty((hi - lo, dim), dtype=np.complex128)
-        for t in range(lo, hi):
-            psi[t - lo] = haar_state(dim, trial_rng(seed, t))
+        psi = _haar_block(dim, seed, lo, hi)
         probs = np.einsum("td,jde,te->tj", psi.conj(), es, psi).real
         probs = np.clip(probs, 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,10 +183,7 @@ def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
     bmat = sqrt_psd(rho_prime.matrix) @ unitary
 
     def run(lo: int, hi: int):
-        psi = np.empty((hi - lo, dim), dtype=np.complex128)
-        for t in range(lo, hi):
-            psi[t - lo] = haar_state(dim, trial_rng(seed, t))
-        phi = psi @ bmat.T
+        phi = _haar_block(dim, seed, lo, hi) @ bmat.T
         outer = dim * np.einsum("ta,tb->tab", phi, phi.conj())
         w = dim * np.einsum("ta,ta->t", phi, phi.conj()).real
         re, im = outer.real, outer.imag

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qbound.haarmc import (_CHUNK, MCEstimate, distorted_moments_mc, distorted_sample,
-                           haar_moment_mc, haar_state, haar_unitary, trial_rng,
-                           uniform_ensemble_info_exact, uniform_ensemble_info_mc)
+from qbound.haarmc import (_CHUNK, MCEstimate, _haar_block, _unit_rows, distorted_moments_mc,
+                           distorted_sample, haar_moment_mc, haar_state, haar_unitary,
+                           trial_rng, uniform_ensemble_info_exact, uniform_ensemble_info_mc)
 from qbound.infomeasures import shannon, subentropy
 from qbound.matrixcore import sqrt_psd
 from qbound.qobjects import PROB_FLOOR, DensityOperator, Measurement, pure_state, random_instance
@@ -62,6 +62,25 @@ def test_seeds_above_2_63_key_distinct_streams(a, b):
     assert not np.array_equal(ma.mean_state, mb.mean_state)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 62 + 17, 2 ** 63 + 5])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_chunk_drawer_is_bit_identical_to_haar_state(dim, seed):
+    for lo, hi in ((0, 7), (_CHUNK - 4, _CHUNK + 3), (2 * _CHUNK - 1, 2 * _CHUNK + 1)):
+        ref = np.array([haar_state(dim, trial_rng(seed, t)) for t in range(lo, hi)])
+        assert np.array_equal(_haar_block(dim, seed, lo, hi).view(np.uint64),
+                              ref.view(np.uint64))
+
+
+def test_a_row_of_norm_zero_is_redrawn_by_haar_state():
+    dim, seed, lo = 3, 2 ** 63 + 5, 40
+    z = _haar_block(dim, seed, lo, lo + 4) * 2.5
+    z[2] = 0.0
+    psi = _unit_rows(z, seed, lo)
+    assert np.array_equal(psi[2], haar_state(dim, trial_rng(seed, lo + 2)))
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(psi[i], z[i] / np.linalg.norm(z[i]))
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         for t in range(10):
@@ -84,6 +103,14 @@ class TestUniformEnsembleInfo:
         est = uniform_ensemble_info_mc(basis_projectors(2), 100000, 3)
         assert est.within(math.log(2) - 0.5, 3.0)
         assert est.std_error < 1e-3
+
+    @pytest.mark.parametrize("dim, seed", [(3, 303), (4, 404), (5, 505), (6, 606)])
+    def test_basis_measurement_matches_harmonic_closed_form(self, dim, seed):
+        """Q[I/N] = ln N - sum_{k=2}^N 1/k; the post states are pure."""
+        target = math.log(dim) - math.fsum(1.0 / k for k in range(2, dim + 1))
+        assert abs(uniform_ensemble_info_exact(basis_projectors(dim)) - target) <= 1e-14
+        est = uniform_ensemble_info_mc(basis_projectors(dim), 200_000, seed)
+        assert est.within(target, 5.0)
 
     def test_exact_prediction_matches_mc(self):
         for seed in (0, 1):
