@@ -166,8 +166,8 @@ class Ensemble:
             raise ValueError("probs and states must have equal length")
         if len(states) == 0:
             raise ValueError("ensemble must contain at least one state")
-        if np.any(p < -1e-12):
-            raise ValueError("ensemble probabilities must be non-negative")
+        if not np.isfinite(p).all() or np.any(p < -1e-12):
+            raise ValueError("ensemble probabilities must be finite and non-negative")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"ensemble probabilities sum to {p.sum()}, expected 1")
         dim = states[0].dim

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -59,6 +60,12 @@ class TestEnsemble:
             Ensemble([0.7, 0.7], [pure_state(KET0), pure_state(KET1)])
         with pytest.raises(DimensionMismatchError):
             Ensemble([0.5, 0.5], [pure_state(KET0), pure_state([1, 0, 0])])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        # NaN fails both comparisons of the sign and sum checks
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble([bad, 1.0], [pure_state(KET0), pure_state(KET1)])
 
     def test_is_pure_flag(self):
         assert zero_plus_ensemble().is_pure
