@@ -136,7 +136,7 @@ def bsub_rhs(acc_total: float, analysis: OutcomeAnalysis) -> float:
     acc_total - sum_j Q_j Q[rho'_j]."""
     if not analysis.ensemble.is_pure:
         raise NotPureEnsembleError("subentropy bound requires a pure-state ensemble")
-    sub, _ = _subentropies(analysis.post_spectra, analysis.outcome_probs >= PROB_FLOOR)
+    sub = _subentropies(analysis.post_spectra, analysis.outcome_probs >= PROB_FLOOR)
     return float(acc_total - analysis.outcome_probs @ sub)
 
 
@@ -346,12 +346,11 @@ def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndar
 
 
 def _corollary_terms(batch):
-    """chi, I_i and sum_j Q_j Q[rho'_j] of a ``_padded`` batch, as (K,)
-    arrays, with the mpmath digits of each post-state subentropy."""
+    """chi, I_i and sum_j Q_j Q[rho'_j] of a ``_padded`` batch, as (K,) arrays."""
     chi = _chi_stage(batch)[-1]
     stack = _pair_stack(batch)
-    sub, digits = _subentropies(stack["post_spectra"], stack["outcome_probs"] >= PROB_FLOOR)
-    return chi, _info_i(batch[0], stack), _dot(stack["outcome_probs"], sub), digits
+    sub = _subentropies(stack["post_spectra"], stack["outcome_probs"] >= PROB_FLOOR)
+    return chi, _info_i(batch[0], stack), _dot(stack["outcome_probs"], sub)
 
 
 def _chain_terms(batch, stack=None) -> tuple[dict, dict]:

@@ -139,7 +139,7 @@ def uniform_ensemble_info_exact(measurement: Measurement) -> float:
     live = tr / dim >= PROB_FLOOR
     spectra = np.zeros(w.shape[:2])
     spectra[live] = _checked_spectra(w[live] / tr[live, None, None])
-    sub, _ = _subentropies(spectra, live)
+    sub = _subentropies(spectra, live)
     return subentropy(DensityOperator(np.eye(dim) / dim)) - float(tr / dim @ sub)
 
 

@@ -519,19 +519,16 @@ def _scn_two_state_accinfo(cfg: ScenarioConfig):
 
 def _scn_subentropy_corollary(cfg: ScenarioConfig):
     """I_i + sum_j Q_j Q[rho'_j] <= chi on random pure-state instances, drawn
-    in the one-at-a-time order and evaluated as one stack; the summary counts
-    the subentropies that took the mpmath fallback and its most digits."""
+    in the one-at-a-time order and evaluated as one stack."""
     rng = np.random.default_rng(cfg.seed)
     specs = [(_sub_seed(rng), int(rng.integers(2, 9)), int(rng.integers(2, 10)), True)
              for _ in range(cfg.trials)]
-    chi, info_i, sub, digits = _corollary_terms(_random_batch(cfg.dim, specs))
+    chi, info_i, sub = _corollary_terms(_random_batch(cfg.dim, specs))
     lhs = info_i + sub
     slack = chi - lhs
     records = _records([{"seed": seed} for seed, *_ in specs], {
         "corollary_lhs": lhs, "chi": chi, "corollary_slack": slack, "pass": slack >= -cfg.tol})
-    return records, {"worst_slack": float(slack.min()),
-                     "diagnostics": {"subentropy_fallbacks": int((digits > 0).sum()),
-                                     "subentropy_max_dps": int(digits.max())}}
+    return records, {"worst_slack": float(slack.min())}
 
 
 def _scn_optimize(cfg: ScenarioConfig):

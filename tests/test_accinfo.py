@@ -233,12 +233,21 @@ def test_two_state_sweep_vectorized_equals_scalar_loop(overlap):
         assert abs(got - (math.log(2.0) - h)) <= 1e-15
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def _loaded_by_import_qbound(module: str) -> bool:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = "import sys, qbound; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, qbound; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert not _loaded_by_import_qbound("scipy.optimize")
+
+
+def test_import_leaves_mpmath_unloaded():
+    """mpmath is a test-only dependency."""
+    assert not _loaded_by_import_qbound("mpmath")
 
 
 # Accessible informations with closed forms, and the tolerance the search

@@ -112,6 +112,18 @@ class TestUniformEnsembleInfo:
         est = uniform_ensemble_info_mc(basis_projectors(dim), 200_000, seed)
         assert est.within(target, 5.0)
 
+    @pytest.mark.parametrize("dim, seed", [(2, 1202), (3, 1303), (4, 1404), (6, 1606)])
+    def test_haar_average_of_y_ln_y_gives_the_subentropy(self, dim, seed):
+        """Hermite-Genocchi: Q[rho] = -N E[y ln y] - (H_N - 1), y = <psi|rho|psi>
+        for Haar-random psi; it shares no code with the subentropy quadrature.
+        By unitary invariance rho may be diagonal."""
+        lam = np.random.default_rng(seed).dirichlet(np.ones(dim))
+        y = np.abs(_haar_block(dim, seed, 0, 200_000)) ** 2 @ lam
+        samples = -dim * y * np.log(y) - math.fsum(1.0 / k for k in range(2, dim + 1))
+        est = MCEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(len(samples)),
+                         len(samples), seed)
+        assert est.within(subentropy(DensityOperator(np.diag(lam))), 5.0)
+
     def test_exact_prediction_matches_mc(self):
         for seed in (0, 1):
             _, meas = random_instance(2, 1, 3, True, seed)

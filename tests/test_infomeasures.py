@@ -117,8 +117,9 @@ class TestSubentropy:
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_cluster_just_above_merge_gap(self, n):
-        # n-1 eigenvalues spaced 1.5e-7 apart, just above CLUSTER_GAP, so
-        # they stay distinct nodes and each table order cancels ~7 digits
+        # n-1 eigenvalues spaced 1.5e-7 apart, just above the gap at which
+        # a divided-difference table merges nodes: each of its orders would
+        # cancel ~7 digits
         lam = [0.05 + k * 1.5e-7 for k in range(n - 1)]
         lam.append(1.0 - sum(lam))
         q = subentropy(DensityOperator(np.diag(lam)))
