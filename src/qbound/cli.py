@@ -10,8 +10,9 @@ Subcommands:
 Reports go to stdout (or ``--out``) as JSON or CSV. The exit code is 0
 iff the scenario recorded zero failures; invalid input (scenario name,
 a ``--param`` key the scenario does not read or a malformed value, seed,
-tolerance, trial count, ``--ensemble`` file, search budget, restarts or
-outcome count) prints ``error: ...``, code 2.
+tolerance, trial count, ``--ensemble`` file, search budget, restarts,
+outcome count or an ``--out`` path that cannot be written) prints
+``error: ...``, code 2.
 """
 
 from __future__ import annotations
@@ -114,7 +115,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = emit_report(report, fmt=args.fmt, path=args.out)
+    try:
+        text = emit_report(report, fmt=args.fmt, path=args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out is None:
         print(text)
     else:

@@ -215,6 +215,16 @@ def test_cli_optimize_nan_ensemble_probability(tmp_path, capsys):
     _assert_input_error(code, capsys)
 
 
+def test_cli_unwritable_out_path(tmp_path, capsys):
+    path = tmp_path / "absent" / "x.json"
+    code = main(["verify", "--trials", "3", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write report to {path}")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
 def test_cli_non_numeric_param(capsys):
     code = main(["verify", "--trials", "2", "--param", "eq_tol=abc"])
     _assert_input_error(code, capsys)
