@@ -4,15 +4,14 @@ identities.
 Reproducibility contract: trial ``t`` of a run seeded with ``seed`` draws
 from a counter-based Philox generator keyed by the exact uint64 pair
 ``(seed mod 2**64, t)``, trials run serially in chunks of ``_CHUNK``, and
-reductions accumulate in trial order, chunk by chunk. Results are therefore
-bit-identical for a seed. A chunk builds one Philox and re-keys it for each
-trial (key ``(seed, t)``, counter 0, empty buffer), which gives the stream of
-``trial_rng(seed, t)`` without building a generator per trial.
+reductions accumulate in trial order, chunk by chunk, so results are
+bit-identical for a seed. A chunk re-keys one Philox per trial (counter 0,
+empty buffer) and takes each norm from ``_norms``, one stacked expression
+that ``haar_state`` shares: row t is ``haar_state(dim, trial_rng(seed, t))``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dim must be >= 1")
     while True:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        nrm = np.linalg.norm(v)
+        nrm = _norms(v)
         if nrm > 1e-12:
             return v / nrm
 
@@ -66,10 +65,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_block(dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Rows ``haar_state(dim, trial_rng(seed, t))`` for ``t`` in [lo, hi), bit
-    for bit: each trial re-keys one Philox through its state setter and draws
-    the 2*dim normals of haar_state's two calls in one call."""
+    for bit: each trial re-keys one Philox and draws its 2*dim normals straight
+    into its row, and ``_unit_rows`` divides by the norm haar_state shares."""
     bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
+    standard_normal = np.random.Generator(bitgen).standard_normal
     key = [seed & _MASK64, 0]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -77,19 +76,22 @@ def _haar_block(dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
     for t in range(lo, hi):
         key[1] = t
         bitgen.state = state
-        draws[t - lo] = rng.normal(size=2 * dim)
+        standard_normal(out=draws[t - lo])
     return _unit_rows(draws[:, :dim] + 1j * draws[:, dim:], seed, lo)
 
 
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Complex row norms; a row's value does not depend on the stack."""
+    return np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=-1))
+
+
 def _unit_rows(z: np.ndarray, seed: int, lo: int) -> np.ndarray:
-    """Divide each row of ``z`` by its norm, formed one row at a time as
-    np.linalg.norm forms it: a stacked reduction differs in the last bits.
-    Row i of norm <= 1e-12 is trial lo + i's first draw, which haar_state
-    rejects and redraws."""
-    nrm = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in z])
-    live = nrm > 1e-12
-    psi = z / np.where(live, nrm, 1.0)[:, None]
-    for i in np.flatnonzero(~live).tolist():
+    """Divide each row of ``z`` by its norm, the stacked ``_norms`` that
+    haar_state shares. Row i of norm <= 1e-12 is trial lo + i's first draw,
+    which haar_state rejects and redraws."""
+    nrm = _norms(z)
+    psi = z / np.where(nrm > 1e-12, nrm, 1.0)[:, None]
+    for i in np.flatnonzero(nrm <= 1e-12).tolist():
         psi[i] = haar_state(z.shape[1], trial_rng(seed, lo + i))
     return psi
 
@@ -123,9 +125,8 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -
         return -terms.sum(axis=1)
 
     h = np.concatenate([run(lo, hi) for lo, hi in _chunks(trials)])
-    mean_h = float(h.mean())
-    stderr = float(h.std(ddof=1) / np.sqrt(trials))
-    return MCEstimate(mean=h_prior - mean_h, std_error=stderr,
+    return MCEstimate(mean=h_prior - float(h.mean()),
+                      std_error=float(h.std(ddof=1) / np.sqrt(trials)),
                       trials=trials, seed=seed)
 
 
@@ -198,8 +199,7 @@ def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
         var = (sq - s * s / trials) / (trials - 1)
         return np.sqrt(np.clip(var, 0.0, None) / trials)
 
-    mean = (sum_re + 1j * sum_im) / trials
-    return DistortedMoments(mean_state=mean,
+    return DistortedMoments(mean_state=(sum_re + 1j * sum_im) / trials,
                             stderr_real=stderr(sum_re, sq_re),
                             stderr_imag=stderr(sum_im, sq_im),
                             weight_mean=float(sum_w / trials),

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
-from qbound.haarmc import (_CHUNK, MCEstimate, _haar_block, _unit_rows, distorted_moments_mc,
-                           distorted_sample, haar_moment_mc, haar_state, haar_unitary,
-                           trial_rng, uniform_ensemble_info_exact, uniform_ensemble_info_mc)
+from qbound.haarmc import (_CHUNK, MCEstimate, _haar_block, _norms, _unit_rows,
+                           distorted_moments_mc, distorted_sample, haar_moment_mc, haar_state,
+                           haar_unitary, trial_rng, uniform_ensemble_info_exact,
+                           uniform_ensemble_info_mc)
 from qbound.infomeasures import shannon, subentropy
 from qbound.matrixcore import sqrt_psd
 from qbound.qobjects import PROB_FLOOR, DensityOperator, Measurement, pure_state, random_instance
@@ -79,6 +82,31 @@ def test_a_row_of_norm_zero_is_redrawn_by_haar_state():
     assert np.array_equal(psi[2], haar_state(dim, trial_rng(seed, lo + 2)))
     for i in (0, 1, 3):
         np.testing.assert_array_equal(psi[i], z[i] / np.linalg.norm(z[i]))
+
+
+def test_live_rows_are_divided_by_the_shared_norm():
+    dim, seed, lo = 4, 2 ** 62 + 9, 100
+    z = _haar_block(dim, seed, lo, lo + 6) * np.array([1e-3, 0.7, 1.0, 3.0, 1e3, 1.0])[:, None]
+    z[5] = 0.0
+    psi = _unit_rows(z, seed, lo)
+    nrm = _norms(z)
+    for i in range(5):
+        assert np.array_equal(psi[i].view(np.uint64), (z[i] / nrm[i]).view(np.uint64))
+    assert np.array_equal(psi[5], haar_state(dim, trial_rng(seed, lo + 5)))
+
+
+@given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_the_shared_norm_is_batch_invariant(n, dim, seed):
+    """A row's norm does not depend on the rows stacked with it, so the chunk
+    drawer and haar_state agree bit for bit."""
+    g = np.random.default_rng(seed)
+    z = g.normal(size=(n, dim)) + 1j * g.normal(size=(n, dim))
+    z *= 10.0 ** g.uniform(-3, 3, size=(n, 1))
+    stacked = _norms(z)
+    alone = np.array([_norms(row) for row in z])
+    assert np.array_equal(stacked.view(np.uint64), alone.view(np.uint64))
+    for t in range(4):
+        assert abs(np.linalg.norm(haar_state(dim, trial_rng(seed, t))) - 1.0) <= 4e-16
 
 
 class TestHaarUnitary:
