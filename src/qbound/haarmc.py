@@ -18,6 +18,7 @@ import numpy as np
 
 from .infomeasures import _subentropies, shannon, subentropy
 from .matrixcore import sqrt_psd
+from .philox import keyed_normals
 from .qobjects import PROB_FLOOR, DensityOperator, Measurement, _checked_spectra
 
 _CHUNK = 4096
@@ -65,18 +66,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_block(dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Rows ``haar_state(dim, trial_rng(seed, t))`` for ``t`` in [lo, hi), bit
-    for bit: each trial re-keys one Philox and draws its 2*dim normals straight
-    into its row, and ``_unit_rows`` divides by the norm haar_state shares."""
-    bitgen = np.random.Philox()
-    standard_normal = np.random.Generator(bitgen).standard_normal
-    key = [seed & _MASK64, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    draws = np.empty((hi - lo, 2 * dim))
-    for t in range(lo, hi):
-        key[1] = t
-        bitgen.state = state
-        standard_normal(out=draws[t - lo])
+    for bit: ``keyed_normals`` draws each trial's 2*dim normals from its keyed
+    Philox, and ``_unit_rows`` divides by the norm haar_state shares."""
+    draws = keyed_normals(seed, lo, hi, 2 * dim)
     return _unit_rows(draws[:, :dim] + 1j * draws[:, dim:], seed, lo)
 
 
@@ -116,9 +108,12 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -
     q = np.real(np.trace(es, axis1=1, axis2=2)) / dim
     h_prior = shannon(q)
 
+    e_row = es.transpose(1, 0, 2).reshape(dim, -1)  # [d, j * dim + e] = E_j[d, e]
+
     def run(lo: int, hi: int) -> np.ndarray:
         psi = _haar_block(dim, seed, lo, hi)
-        probs = np.einsum("td,jde,te->tj", psi.conj(), es, psi).real
+        bra_e = (psi.conj() @ e_row).reshape(hi - lo, -1, dim)  # <psi| E_j
+        probs = np.einsum("tje,te->tj", bra_e, psi).real
         probs = np.clip(probs, 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
