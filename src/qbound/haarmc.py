@@ -5,9 +5,10 @@ Reproducibility contract: trial ``t`` of a run seeded with ``seed`` draws
 from a counter-based Philox generator keyed by the exact uint64 pair
 ``(seed mod 2**64, t)``, trials run serially in chunks of ``_CHUNK``, and
 reductions accumulate in trial order, chunk by chunk, so results are
-bit-identical for a seed. A chunk re-keys one Philox per trial (counter 0,
-empty buffer) and takes each norm from ``_norms``, one stacked expression
-that ``haar_state`` shares: row t is ``haar_state(dim, trial_rng(seed, t))``.
+bit-identical for a seed. A chunk draws all its trials' normals at once
+with ``keyed_normals`` (array Philox and numpy's ziggurat, in ``philox``)
+and takes each norm from ``_norms``, one stacked expression that
+``haar_state`` shares: row t is ``haar_state(dim, trial_rng(seed, t))``.
 """
 
 from __future__ import annotations

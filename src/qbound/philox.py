@@ -31,6 +31,7 @@ _MAG_BITS = 52
 _MULTIPLIERS = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
+_CHECK_SEED = 0x5DEECE66D
 _CHECK_TRIALS = 512
 
 
@@ -72,7 +73,7 @@ def _ziggurat_step(words: np.ndarray, wi: np.ndarray, ki: np.ndarray):
     return mag.astype(np.float64) * wi.take(strip), mag < ki.take(strip)
 
 
-def _numpy_rows(seed: int, trials, count: int) -> np.ndarray:
+def _numpy_rows(seed: int, trials: list[int], count: int) -> np.ndarray:
     """The rows drawn by numpy: one Philox, re-keyed for each trial through
     its state setter (counter 0, empty buffer)."""
     bitgen = np.random.Philox()
@@ -82,7 +83,7 @@ def _numpy_rows(seed: int, trials, count: int) -> np.ndarray:
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rows = np.empty((len(trials), count))
     for i, t in enumerate(trials):
-        key[1] = int(t)
+        key[1] = t
         bitgen.state = state
         standard_normal(out=rows[i])
     return rows
@@ -90,16 +91,16 @@ def _numpy_rows(seed: int, trials, count: int) -> np.ndarray:
 
 @functools.cache
 def _strips():
-    """(wi, ki) of numpy's normal ziggurat, or None if the first step with
-    them does not reproduce numpy's draws. ``wi[s]`` is the value of
-    magnitude 1 in strip s; ``ki[s]`` is a lower bound on the magnitudes
-    numpy rejects there, made tight by the strip ratio 2**52 wi[s-1]/wi[s]
-    and checked with one probe (strips 0 and 1, and any strip whose probe
-    fails, take a bisection instead)."""
+    """(wi, ki) of numpy's normal ziggurat over strip and sign, or None if
+    the first step with them does not reproduce numpy's draws. ``wi[s]`` is
+    the value of magnitude 1 in strip s. Below ``ki[s]`` numpy stops at the
+    first step; ``ki[s]`` is the strip ratio 2**52 wi[s-1]/wi[s] less 2,
+    checked with one probe, or found by bisection where that probe fails
+    (strips 0 and 1)."""
     bitgen = np.random.SFC64()
     normal = np.random.Generator(bitgen).standard_normal
 
-    def accepted(strip: int, mag: int) -> tuple[float, bool]:
+    def first_step(strip: int, mag: int) -> tuple[float, bool]:
         # SFC64 emits s0 + s1 + s3 first, so state (w, 0, 0, 0) emits w.
         bitgen.state = {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0,
                         "state": {"state": np.array([mag << 9 | strip, 0, 0, 0], np.uint64)}}
@@ -107,22 +108,21 @@ def _strips():
         return x, int(bitgen.state["state"]["state"][3]) == 1
 
     top = 1 << _MAG_BITS
-    wi = np.array([accepted(s, 1)[0] for s in range(256)])
+    wi = np.array([first_step(s, 1)[0] for s in range(256)])
     ki = np.zeros(256, dtype=np.uint64)
     for s in range(256):
         bound = int(top * wi[s - 1] / wi[s]) - 2 if s >= 1 else 0
-        if not (1 <= bound < top and accepted(s, bound - 1)[1]):
-            lo, hi = 0, top  # numpy accepts magnitudes below lo and not hi
+        if not (1 <= bound < top and first_step(s, bound - 1)[1]):
+            lo, hi = 0, top  # numpy stops below lo and not at hi
             while lo < hi:
                 mid = (lo + hi) // 2
-                lo, hi = (mid + 1, hi) if accepted(s, mid)[1] else (lo, mid)
+                lo, hi = (mid + 1, hi) if first_step(s, mid)[1] else (lo, mid)
             bound = lo
         ki[s] = bound
     wi, ki = np.concatenate([wi, -wi]), np.concatenate([ki, ki])
-    seed, count = _MULTIPLIERS[0], 8
     trials = np.arange(_CHECK_TRIALS, dtype=np.uint64)
-    x, fast = _ziggurat_step(_philox_words(int(seed), trials, 2), wi, ki)
-    ref = _numpy_rows(int(seed), trials, count)
+    x, fast = _ziggurat_step(_philox_words(_CHECK_SEED, trials, 2), wi, ki)
+    ref = _numpy_rows(_CHECK_SEED, trials.tolist(), 8)
     ok = fast.all(axis=1)
     if not (ok.mean() > 0.5 and np.array_equal(x[ok].view(np.uint64), ref[ok].view(np.uint64))):
         return None
@@ -135,11 +135,11 @@ def keyed_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     seed &= _MASK64
     tables = _strips()
     if tables is None:
-        return _numpy_rows(seed, range(lo, hi), count)
+        return _numpy_rows(seed, list(range(lo, hi)), count)
     trials = np.arange(lo, hi, dtype=np.uint64)
     words = _philox_words(seed, trials, -(-count // 4))[:, :count]
     x, fast = _ziggurat_step(words, *tables)
     slow = np.flatnonzero(~fast.all(axis=1))
     if slow.size:
-        x[slow] = _numpy_rows(seed, trials[slow], count)
+        x[slow] = _numpy_rows(seed, trials[slow].tolist(), count)
     return x
