@@ -9,7 +9,7 @@ trial; here the whole block is array arithmetic:
   counters 1, 2, ... are formed for all trials together in uint64 words;
 - each word takes the first step of numpy's 256-strip normal ziggurat:
   strip ``w & 0xff``, sign bit 8, 52-bit magnitude ``m = w >> 9``, value
-  ``m * wi[strip]``, accepted when ``m < ki[strip]`` (about 99% of words);
+  ``m * wi[strip]``, accepted when ``m < ki[strip]`` (98.5% of words);
 - a trial with a word that numpy does not accept at that step (it then
   draws further words) is drawn by numpy itself.
 
@@ -53,7 +53,7 @@ def _philox_words(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
     k1 = np.tile(trials, blocks)
     hi, lo = _mulhilo(np.arange(1, blocks + 1, dtype=np.uint64), _MULTIPLIERS[0])
     x0, x1, x2, x3 = np.uint64(seed), np.uint64(0), np.repeat(hi, n) ^ k1, np.repeat(lo, n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # x0 is a numpy scalar in round 1, and it wraps
         for r in range(1, _ROUNDS):
             k0 = np.uint64((seed + r * _WEYL[0]) & _MASK64)
             k1 += np.uint64(_WEYL[1])
