@@ -1,6 +1,5 @@
 """Lower bounds on the accessible information by direct search over
-rank-one POVMs, plus an independent brute-force oracle for the
-two-pure-state case.
+rank-one POVMs, plus the closed form for two equiprobable pure states.
 
 The search space is K unnormalized complex vectors v_j; the induced POVM
 E_j = S^(-1/2) v_j v_j† S^(-1/2) with S = sum_j v_j v_j† is complete by
@@ -10,7 +9,13 @@ a fixed seed, and its output is always a certified lower bound (the value
 of an explicitly constructed measurement). Candidates of its fixed
 schedule are scored a window at a time by one batched objective call but
 charged and accepted one by one, so the schedule is that of a
-one-at-a-time search. Only the oracle imports scipy, on first use.
+one-at-a-time search.
+
+For two equiprobable pure states with overlap s the symmetric projective
+measurement is optimal (Levitin, "Optimal quantum measurements for two pure
+and mixed states", 1995), so the accessible information is ln 2 - H2(p)
+with p = (1 - sqrt(1 - s^2)) / 2. The tests check this closed form against
+a brute-force sweep of projective measurements (``tests/two_state_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infomeasures import mutual_information, shannon
-from .qobjects import Ensemble, Measurement, apply_measurement
+from .qobjects import Ensemble, Measurement, _neg_xlogx, apply_measurement
 
 # Candidates scored per objective call after an accepted move; the window
 # doubles after each window without an improvement, up to WINDOW_MAX.
 WINDOW, WINDOW_MAX = 8, 256
-# Angles per vectorized call of the oracle's sweep: whole 10 000-angle calls
-# between searches raised the peak memory of long runs by about 1 MB.
-SWEEP_CHUNK = 1000
 
 
 class SearchConfigError(ValueError):
@@ -88,10 +90,8 @@ def _objective(v: np.ndarray, probs: np.ndarray, states: np.ndarray,
     cond = np.einsum("nja,iab,njb->nji", wv.conj(), states, wv).real
     joint = np.maximum(cond, 0.0) * probs
     qj = joint.sum(axis=2)
-    # x ln x with 0 ln 0 = 0: zeros take ln 1 = 0
-    h_joint = (joint * np.log(np.where(joint > 0.0, joint, 1.0))).reshape(len(v), -1)
-    h_q = qj * np.log(np.where(qj > 0.0, qj, 1.0))
-    return np.where(spans, h_probs + h_joint.sum(axis=1) - h_q.sum(axis=1), -np.inf)
+    info = h_probs - _neg_xlogx(joint.reshape(len(v), -1)) + _neg_xlogx(qj)
+    return np.where(spans, info, -np.inf)
 
 
 def maximize_mutual_info(ensemble: Ensemble, n_outcomes: int | None = None,
@@ -163,42 +163,14 @@ def maximize_mutual_info(ensemble: Ensemble, n_outcomes: int | None = None,
                      trace=trace, restarts=restarts, seed=seed, evaluations=spent)
 
 
-def _two_state_mi(phi, alpha: float):
-    """Index information of the projective measurement at basis angle phi
-    (a scalar or an array of angles) for equiprobable real qubit states
-    at angles +/- alpha."""
-    p_plus = np.square(np.cos(phi - alpha))
-    p_minus = np.square(np.cos(phi + alpha))
-    joint = 0.5 * np.array([[p_plus, 1.0 - p_plus], [p_minus, 1.0 - p_minus]])
-    qj = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post = joint / qj
-        h = -np.where(post > 0.0, post * np.log(post), 0.0).sum(axis=0)
-    h_cond = np.where(qj > 0.0, qj * h, 0.0)
-    return np.log(2.0) - (h_cond[0] + h_cond[1])
+def two_state_reference(overlap: float) -> float:
+    """Accessible information of two equiprobable pure states with overlap
+    modulus ``overlap``: ln 2 - H2(p) with p = (1 - sqrt(1 - s^2)) / 2,
+    attained by the symmetric projective measurement (Levitin 1995).
 
-
-def two_state_reference(overlap: float, grid: int = 10000) -> float:
-    """Brute-force optimum of the index information for two equiprobable
-    pure states with overlap modulus ``overlap``.
-
-    Sweeps projective measurements in the span over a uniform angle grid
-    and refines the best bracket by golden-section search. This is an
-    independent oracle, deliberately not a closed form.
+    Raises ValueError for an overlap outside [0, 1] or NaN.
     """
-    # Imported here: scipy.optimize is most of the package's import time.
-    from scipy.optimize import minimize_scalar
-
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    alpha = np.arccos(np.clip(overlap, 0.0, 1.0)) / 2.0
-    phis = np.linspace(0.0, np.pi, grid, endpoint=False)
-    values = np.concatenate([_two_state_mi(part, alpha)
-                             for part in np.array_split(phis, -(-grid // SWEEP_CHUNK))])
-    best = int(np.argmax(values))
-    span = np.pi / grid
-    lo, hi = phis[best] - span, phis[best] + span
-    res = minimize_scalar(lambda phi: -_two_state_mi(phi, alpha),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return max(float(values[best]), float(-res.fun))
+    p = (1.0 - np.sqrt((1.0 - overlap) * (1.0 + overlap))) / 2.0
+    return float(np.log(2.0) - shannon([p, 1.0 - p]))

@@ -12,7 +12,8 @@ iff the scenario recorded zero failures; invalid input (scenario name,
 a ``--param`` key the scenario does not read or a malformed value, seed,
 tolerance, trial count, ``--ensemble`` file, search budget, restarts,
 outcome count or an ``--out`` path that cannot be written) prints
-``error: ...``, code 2.
+``error: ...``, code 2. ``optimize`` with an ensemble draws none, so
+``n_states`` and ``pure`` beside it are invalid input too.
 """
 
 from __future__ import annotations

@@ -536,6 +536,9 @@ def _scn_optimize(cfg: ScenarioConfig):
     restarts = cfg.param("restarts", 4, int)
     n_outcomes = cfg.param("outcomes", None, int)
     if cfg.param("ensemble", None) is not None:
+        unread = sorted({"n_states", "pure"} & cfg.params.keys())
+        if unread:
+            raise InvalidConfigError(f"optimize reads no {', '.join(unread)} with an ensemble")
         try:
             ens = ensemble_from_json(cfg.params["ensemble"])
         except (KeyError, TypeError, ValueError) as exc:

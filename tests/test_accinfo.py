@@ -5,12 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from two_state_oracle import _two_state_mi, two_state_sweep
 
-from qbound.accinfo import (BudgetTooSmallError, SearchConfigError, _two_state_mi,
-                            maximize_mutual_info, povm_from_vectors,
-                            two_state_reference)
+from qbound.accinfo import (BudgetTooSmallError, SearchConfigError, maximize_mutual_info,
+                            povm_from_vectors, two_state_reference)
 from qbound.bounds import dual_holevo_rhs
 from qbound.haarmc import haar_state, trial_rng
 from qbound.infomeasures import holevo_chi, shannon, subentropy
@@ -111,8 +111,8 @@ class TestTwoStateReference:
         assert two_state_reference(1.0) <= 1e-12
 
     def test_grid_refinement_stable(self):
-        coarse = two_state_reference(1 / math.sqrt(2), grid=10000)
-        fine = two_state_reference(1 / math.sqrt(2), grid=40000)
+        coarse = two_state_sweep(1 / math.sqrt(2), grid=10000)
+        fine = two_state_sweep(1 / math.sqrt(2), grid=40000)
         assert abs(coarse - fine) <= 1e-6
 
     def test_matches_binary_entropy_form(self):
@@ -128,6 +128,39 @@ class TestTwoStateReference:
         res = maximize_mutual_info(two_state_ensemble(s), budget=16000,
                                    restarts=4, seed=11)
         assert abs(res.best_value - oracle) <= 1e-4
+
+    @pytest.mark.parametrize("overlap", [-0.1, 1.1, math.nan])
+    def test_rejects_overlap_outside_the_unit_interval(self, overlap):
+        with pytest.raises(ValueError):
+            two_state_reference(overlap)
+
+
+# Tolerances of the closed form, fixed before it was first run against them.
+SWEEP_TOL = 1e-13      # against the brute-force sweep
+MONOTONE_TOL = 1e-15   # a few ulps of ln 2
+BRACKET_TOL = 1e-12    # against the subentropy and the Holevo quantity
+
+
+@settings(max_examples=100)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(1e-8)
+@example(1.0 - 1e-12)
+def test_closed_form_matches_the_sweep(overlap):
+    assert abs(two_state_reference(overlap) - two_state_sweep(overlap)) <= SWEEP_TOL
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_closed_form_decreases_and_lies_in_the_bracket(a, b):
+    lo, hi = sorted((a, b))
+    assert two_state_reference(hi) <= two_state_reference(lo) + MONOTONE_TOL
+    for s in (lo, hi):
+        # Jozsa, Robb and Wootters below, Holevo above
+        ens = two_state_ensemble(s)
+        value = two_state_reference(s)
+        assert subentropy(ensemble_state(ens)) <= value + BRACKET_TOL
+        assert value <= holevo_chi(ens) + BRACKET_TOL
 
 
 def _reference_search(ensemble, n_outcomes, budget, restarts, seed):
@@ -233,16 +266,30 @@ def test_two_state_sweep_vectorized_equals_scalar_loop(overlap):
         assert abs(got - (math.log(2.0) - h)) <= 1e-15
 
 
-def _loaded_by_import_qbound(module: str) -> bool:
+def _modules_loaded_by(code: str) -> set[str]:
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = f"import sys, qbound; print({module!r} in sys.modules)"
+    code += "\nimport sys; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    return out.stdout.strip() == "True"
+    return set(out.stdout.split())
+
+
+def _loaded_by_import_qbound(module: str) -> bool:
+    return module in _modules_loaded_by("import qbound")
 
 
 def test_import_leaves_scipy_optimize_unloaded():
     assert not _loaded_by_import_qbound("scipy.optimize")
+
+
+def test_two_state_run_loads_no_scipy():
+    """The runtime needs numpy only: scipy is a test-only dependency."""
+    loaded = _modules_loaded_by(
+        "from qbound import ScenarioConfig, run_scenario\n"
+        "run_scenario(ScenarioConfig('two-state-accinfo', "
+        "params={'overlaps': [0.3], 'budget': 400, 'restarts': 1}))")
+    assert not [m for m in loaded if m.startswith("scipy")]
 
 
 def test_import_leaves_mpmath_unloaded():

@@ -12,8 +12,8 @@ from qbound.bounds import (_chi_stage, _pair_stack, _reports, _sww_chi_form, _sw
 from qbound.cli import main
 from qbound.infomeasures import holevo_chi, info_gain_f, mutual_information, subentropy
 from qbound.qobjects import (Ensemble, Measurement, _clean_spectrum, _random_batch,
-                             apply_measurement, coarse_grain, ensemble_state, mix_measurements,
-                             random_instance)
+                             apply_measurement, coarse_grain, ensemble_state, ensemble_to_json,
+                             mix_measurements, pure_state, random_instance)
 from qbound.scenarios import (SCENARIOS, InvalidConfigError, Report,
                               ScenarioConfig, UnknownScenarioError, _mc_retry,
                               _retry_seed, emit_report, run_scenario)
@@ -378,6 +378,10 @@ def test_stacked_sweep_is_bit_identical_to_per_point_coarse_grain(grid):
         assert r["info_f"] == info_gain_f(analysis)
 
 
+# A valid ensemble, so that only the parameters beside it are malformed.
+_QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_state([0, 1])]))
+
+
 @pytest.mark.parametrize("args", [
     ["scenario", "inefficient-violation", "--param", "grid=-1"],
     ["scenario", "inefficient-violation", "--param", "grid=1"],
@@ -401,6 +405,8 @@ def test_stacked_sweep_is_bit_identical_to_per_point_coarse_grain(grid):
     ["scenario", "two-state-accinfo", "--param", "opt_tol=-1"],
     ["optimize", "--param", "pure=abc"],
     ["optimize", "--param", "pure=0"],
+    ["optimize", "--param", f"ensemble={json.dumps(_QUBIT_PAIR)}", "--param", "n_states=7"],
+    ["optimize", "--param", f"ensemble={json.dumps(_QUBIT_PAIR)}", "--param", "pure=false"],
     ["verify", "--param", "eqtol=5"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
