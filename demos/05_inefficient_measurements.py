@@ -6,10 +6,11 @@ classic construction: a basis measurement unbiased to the eigenbasis of
 rho, with all outcomes merged, leaves the observer maximally mixed --
 index information zero, entropy gain negative.
 
-Mixing that unbiased measurement with a commuting (classical) one and
-merging outcomes across the parents yields points where BOTH gains are
-positive yet the index information exceeds the entropy gain, violating
-the efficient-measurement ordering.
+Mixing that unbiased measurement with a commuting (classical) one, with
+outcome j of either parent in one group (what ``mix_measurements``
+returns), yields points where BOTH gains are positive yet the index
+information exceeds the entropy gain, violating the efficient-measurement
+ordering.
 """
 
 import numpy as np
@@ -33,21 +34,11 @@ print("  info_i = %.3e (nothing learned about the symbol)"
 print("  info_f = %+.6f (final state is maximally mixed: entropy went UP)\n"
       % info_gain_f(a))
 
-
-def merged_mix(lam):
-    mixed = mix_measurements(x_basis, z_basis, lam)
-    buckets = {}
-    for idx, (_, parent_outcome) in enumerate(mixed.labels):
-        buckets.setdefault(parent_outcome, []).append(idx)
-    groups = [buckets[k] for k in sorted(buckets)]
-    return Measurement(mixed.kraus, groups=groups, labels=mixed.labels)
-
-
 print("Sweep of the X/Z mixture with outcomes merged across parents:")
 print("%8s %10s %10s %12s" % ("lam(X)", "info_i", "info_f", "violation?"))
 violations = 0
 for lam in np.linspace(0.0, 1.0, 21):
-    a = coarse_grain(merged_mix(float(lam)), ensemble)
+    a = coarse_grain(mix_measurements(x_basis, z_basis, float(lam)), ensemble)
     ii, ff = mutual_information(a), info_gain_f(a)
     bad = ii > ff + 1e-8 and ii > 1e-8 and ff > 1e-8
     violations += bad

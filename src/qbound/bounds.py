@@ -338,7 +338,8 @@ def _info_f(s_rho, stack):
 def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndarray]:
     """I_i and I_f of one ensemble under K inefficient measurements with equal
     group counts, as (K,) arrays from one ``_outcome_stack`` of their pieces."""
-    pieces = hermitize(np.stack([_coarse_pieces(m, ensemble) for m in measurements]))
+    states = np.stack([s.matrix for s in ensemble.states])
+    pieces = hermitize(np.stack([_coarse_pieces(m, states) for m in measurements]))
     probs = np.broadcast_to(ensemble.probs, pieces.shape[:1] + ensemble.probs.shape)
     stack = _outcome_stack(probs, pieces.reshape((-1,) + pieces.shape[-2:]),
                            np.ones(pieces.shape[:3], bool))

@@ -216,13 +216,12 @@ class Measurement:
 
     ``groups`` optionally partitions the outcome indices: an observer who
     only learns which group fired holds the group-averaged state (an
-    inefficient measurement). ``labels`` carries provenance for outcomes
-    created by mixing measurements.
+    inefficient measurement).
     """
 
-    __slots__ = ("_stack", "_kraus", "_groups", "_labels")
+    __slots__ = ("_stack", "_kraus", "_groups")
 
-    def __init__(self, kraus, groups=None, labels=None):
+    def __init__(self, kraus, groups=None):
         stacked = isinstance(kraus, np.ndarray) and kraus.ndim == 3  # checked in one call
         ops = tuple(as_square_complex(kraus, stack=True) if stacked else map(as_square_complex, kraus))
         if not ops:
@@ -233,26 +232,24 @@ class Measurement:
         stack = _frozen(np.stack(ops))
         _check_complete(stack)
         if groups is not None:
-            groups = tuple(tuple(int(i) for i in g) for g in groups)
+            groups = tuple(map(tuple, groups))
+            if not all(type(i) is int or isinstance(i, np.integer) for g in groups for i in g):
+                raise ValueError(f"outcome indices must be integers, got {groups}")
+            groups = tuple(tuple(map(int, g)) for g in groups)
             if any(len(g) == 0 for g in groups):
                 raise EmptyGroupError("outcome groups must be non-empty")
             flat = sorted(i for g in groups for i in g)
             if flat != list(range(len(ops))):
                 raise ValueError("groups must partition the outcome indices exactly")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(ops):
-                raise ValueError("labels must match the number of outcomes")
         self._stack = stack
         self._kraus = tuple(stack)
         self._groups = groups
-        self._labels = labels
 
     @classmethod
     def _derived(cls, stack: np.ndarray) -> "Measurement":
         """View a read-only (J, d, d) stack known to be complete, not checked again."""
         meas = cls.__new__(cls)
-        meas._stack, meas._kraus, meas._groups, meas._labels = stack, tuple(stack), None, None
+        meas._stack, meas._kraus, meas._groups = stack, tuple(stack), None
         return meas
 
     @property
@@ -275,10 +272,6 @@ class Measurement:
     @property
     def groups(self):
         return self._groups
-
-    @property
-    def labels(self):
-        return self._labels
 
     def __repr__(self):
         g = f", groups={len(self._groups)}" if self._groups else ""
@@ -412,12 +405,12 @@ def _conjugate(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
     return both.reshape(lead + (n_out, dim, n_mem, dim)).swapaxes(-3, -2)
 
 
-def _conjugations(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
-    """The (J, I, d, d) Kraus conjugations of one instance."""
-    if measurement.dim != ensemble.dim:
+def _conjugations(measurement: Measurement, states: np.ndarray) -> np.ndarray:
+    """The (J, I, d, d) Kraus conjugations of one measurement and a (I, d, d)
+    stack of states."""
+    if measurement.dim != states.shape[-1]:
         raise DimensionMismatchError(
-            f"measurement dim {measurement.dim} != ensemble dim {ensemble.dim}")
-    states = np.stack([s.matrix for s in ensemble.states])
+            f"measurement dim {measurement.dim} != ensemble dim {states.shape[-1]}")
     return _conjugate(measurement.kraus_stack, states)
 
 
@@ -477,7 +470,8 @@ def _outcome_stack(probs: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> 
 
 def apply_measurement(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysis:
     """Apply an efficient measurement: the observer learns the exact outcome."""
-    return OutcomeAnalysis(ensemble, measurement, _conjugations(measurement, ensemble))
+    states = np.stack([s.matrix for s in ensemble.states])
+    return OutcomeAnalysis(ensemble, measurement, _conjugations(measurement, states))
 
 
 def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysis:
@@ -486,41 +480,39 @@ def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysi
     Group k carries probability Q_k = sum of its members' Q_l and the
     averaged state (sum over the group of Kraus conjugations) / Q_k.
     """
-    return OutcomeAnalysis(ensemble, measurement, _coarse_pieces(measurement, ensemble),
-                           coarse=True)
+    states = np.stack([s.matrix for s in ensemble.states])
+    return OutcomeAnalysis(ensemble, measurement, _coarse_pieces(measurement, states), coarse=True)
 
 
-def _coarse_pieces(measurement: Measurement, ensemble: Ensemble) -> np.ndarray:
-    """(G, I, d, d) pieces of an inefficient measurement: the Kraus
-    conjugations summed over each outcome group."""
+def _coarse_pieces(measurement: Measurement, states: np.ndarray) -> np.ndarray:
+    """(G, I, d, d) pieces of an inefficient measurement on a (I, d, d) stack
+    of states: the Kraus conjugations summed over each outcome group."""
     if measurement.groups is None:
         raise ValueError("coarse_grain requires a measurement with outcome groups")
-    fine = _conjugations(measurement, ensemble)
+    fine = _conjugations(measurement, states)
     return np.stack([fine[list(g)].sum(axis=0) for g in measurement.groups])
 
 
 def mix_measurements(m1: Measurement, m2: Measurement, lam: float) -> Measurement:
-    """Probabilistic mixture of two measurements.
+    """Probabilistic mixture of two measurements, grouped by outcome index.
 
-    The result has Kraus operators sqrt(lam) A_j alongside sqrt(1-lam) B_k;
-    operators that vanish (at lam exactly 0 or 1) are dropped. Labels
-    record (parent, parent outcome index) so groupings can merge outcomes
-    across the parents.
+    The result has Kraus operators sqrt(lam) A_j followed by sqrt(1-lam) B_k;
+    a parent of weight 0 (lam exactly 0 or 1) contributes none. Group j
+    holds outcome j of each parent that has one: the observer learns the
+    outcome index but not which parent ran. ``Measurement(mix.kraus)`` is
+    the efficient mixture. Parents with outcome groups are rejected.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mixed measurements must share one dimension")
-    kraus, labels = [], []
-    if lam > 0.0:
-        for j, a in enumerate(m1.kraus):
-            kraus.append(np.sqrt(lam) * a)
-            labels.append((0, j))
-    if lam < 1.0:
-        for k, b in enumerate(m2.kraus):
-            kraus.append(np.sqrt(1.0 - lam) * b)
-            labels.append((1, k))
-    return Measurement(kraus, labels=labels)
+    if m1.groups is not None or m2.groups is not None:
+        raise ValueError("cannot mix measurements that have outcome groups")
+    parts = [np.sqrt(w) * m.kraus_stack for w, m in ((lam, m1), (1.0 - lam, m2)) if w > 0.0]
+    starts = (0, len(parts[0]))
+    groups = [[start + j for start, part in zip(starts, parts) if j < len(part)]
+              for j in range(max(map(len, parts)))]
+    return Measurement(np.concatenate(parts), groups=groups)
 
 
 def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,

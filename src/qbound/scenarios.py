@@ -223,14 +223,6 @@ def counterexample_encoding() -> Ensemble:
     return Ensemble([0.75, 0.25], [pure_state([1.0, 0.0]), pure_state([0.0, 1.0])])
 
 
-def _groups_by_parent_outcome(measurement: Measurement):
-    """Group mixed-measurement outcomes that share a parent outcome index."""
-    buckets: dict[int, list[int]] = {}
-    for idx, (_, parent_idx) in enumerate(measurement.labels):
-        buckets.setdefault(parent_idx, []).append(idx)
-    return [buckets[k] for k in sorted(buckets)]
-
-
 def eqspec_satisfied_family(n_states: int = 3):
     """A dim-3 instance satisfying the equal-compression condition.
 
@@ -470,9 +462,7 @@ def _scn_inefficient_violation(cfg: ScenarioConfig):
     m_z = basis_projectors(2)
     m_x = qubit_x_projectors()
     lams = np.linspace(0.0, 1.0, grid).tolist()
-    mixes = (mix_measurements(m_x, m_z, lam) for lam in lams)  # one measurement at a time
-    info_i, info_f = _coarse_terms(ens, (Measurement(
-        m.kraus, groups=_groups_by_parent_outcome(m), labels=m.labels) for m in mixes))
+    info_i, info_f = _coarse_terms(ens, (mix_measurements(m_x, m_z, lam) for lam in lams))
     violation = (info_i > info_f + cfg.tol) & (info_i > cfg.tol) & (info_f > cfg.tol)
     n_violations = int(violation.sum())
     records = _records([{"kind": "sweep", "lam": lam} for lam in lams],

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -184,6 +185,43 @@ class TestCoarseGrain:
         with pytest.raises(ValueError):
             coarse_grain(z_measurement(), zero_plus_ensemble())
 
+    @pytest.mark.parametrize("groups", [[[0.9], [1.2]], [[True], [False]], [["0"], ["1"]],
+                                        [[0.7], [1]], [[np.float64(0.0)], [1]],
+                                        [[np.True_], [0]]])
+    def test_group_indices_must_be_integers(self, groups):
+        with pytest.raises(ValueError, match="integers"):
+            Measurement(z_measurement().kraus, groups=groups)
+
+    def test_json_group_indices_must_be_integers(self):
+        obj = measurement_to_json(z_measurement())
+        obj["groups"] = json.loads("[[0.7], [1]]")
+        with pytest.raises(ValueError, match="integers"):
+            measurement_from_json(obj)
+
+    def test_numpy_integer_indices_become_python_ints(self):
+        m = Measurement(z_measurement().kraus, groups=[np.array([1]), [np.int32(0)]])
+        assert m.groups == ((1,), (0,))
+        assert all(type(i) is int for g in m.groups for i in g)
+
+
+def labelled_mixture(m1, m2, lam):
+    """Reference mixture: Kraus operators built one at a time, each labelled
+    (parent, parent outcome index), and outcomes sharing a parent outcome
+    index grouped in label order."""
+    kraus, labels = [], []
+    if lam > 0.0:
+        for j, a in enumerate(m1.kraus):
+            kraus.append(np.sqrt(lam) * a)
+            labels.append((0, j))
+    if lam < 1.0:
+        for k, b in enumerate(m2.kraus):
+            kraus.append(np.sqrt(1.0 - lam) * b)
+            labels.append((1, k))
+    buckets = {}
+    for idx, (_, parent_idx) in enumerate(labels):
+        buckets.setdefault(parent_idx, []).append(idx)
+    return np.stack(kraus), tuple(tuple(buckets[k]) for k in sorted(buckets))
+
 
 class TestMixMeasurements:
     def test_endpoints(self):
@@ -192,11 +230,11 @@ class TestMixMeasurements:
         m1 = mix_measurements(mz, mx, 1.0)
         assert m1.size == 2
         np.testing.assert_allclose(m1.kraus[0], mz.kraus[0], atol=1e-14)
-        assert m1.labels == ((0, 0), (0, 1))
+        assert m1.groups == ((0,), (1,))
         m0 = mix_measurements(mz, mx, 0.0)
         assert m0.size == 2
         np.testing.assert_allclose(m0.kraus[1], mx.kraus[1], atol=1e-14)
-        assert m0.labels == ((1, 0), (1, 1))
+        assert m0.groups == ((0,), (1,))
 
     def test_half_mix_of_z_with_itself(self):
         mz = z_measurement()
@@ -206,6 +244,22 @@ class TestMixMeasurements:
             assert abs(np.linalg.norm(a) - 1.0 / np.sqrt(2.0)) <= 1e-12
         total = sum(a.conj().T @ a for a in m.kraus)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 3), (2, 2)])
+    def test_groups_merge_outcome_indices_bit_for_bit(self, sizes):
+        m1, m2 = (random_instance(3, 1, n, True, 40 + n)[1] for n in sizes)
+        for lam in np.linspace(0.0, 1.0, 101).tolist():
+            kraus, groups = labelled_mixture(m1, m2, lam)
+            mixed = mix_measurements(m1, m2, lam)
+            assert mixed.kraus_stack.tobytes() == kraus.tobytes()
+            assert mixed.groups == groups
+
+    def test_rejects_parents_with_groups(self):
+        mz = z_measurement()
+        grouped = Measurement(mz.kraus, groups=[[0, 1]])
+        for m1, m2 in [(grouped, grouped), (grouped, mz), (mz, grouped)]:
+            with pytest.raises(ValueError, match="outcome groups"):
+                mix_measurements(m1, m2, 0.5)
 
     def test_completeness_preserved(self):
         rng = np.random.default_rng(9)

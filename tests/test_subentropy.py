@@ -77,9 +77,10 @@ def test_certified_values_match_the_300_digit_closed_form(batch):
 
 
 def test_maximally_mixed_matches_the_harmonic_closed_form():
-    for n in range(2, 33):
+    for n in [*range(2, 33), 64, 128, 256]:
         q = subentropy(DensityOperator(np.eye(n) / n))
-        assert abs(q - (math.log(n) - sum(1.0 / k for k in range(2, n + 1)))) <= 1e-12
+        tol = 1e-12 if n <= 32 else 1e-11
+        assert abs(q - (math.log(n) - sum(1.0 / k for k in range(2, n + 1)))) <= tol
 
 
 def test_opitz_matrix_function_oracle():
