@@ -23,7 +23,7 @@ from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, s
                          support_projector)
 from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
                        Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
-                       _coarse_pieces, _conjugate, _dot, _member_sums, _mixtures,
+                       _conjugate, _dot, _group_sums, _member_sums, _mixtures,
                        _neg_xlogx, _outcome_stack, _povm, ensemble_state, entropies)
 
 
@@ -335,11 +335,13 @@ def _info_f(s_rho, stack):
     return s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
 
 
-def _coarse_terms(ensemble: Ensemble, measurements) -> tuple[np.ndarray, np.ndarray]:
-    """I_i and I_f of one ensemble under K inefficient measurements with equal
-    group counts, as (K,) arrays from one ``_outcome_stack`` of their pieces."""
+def _coarse_terms(ensemble: Ensemble, kraus: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+    """I_i and I_f of one ensemble under the K inefficient measurements of a
+    complete (K, J, d, d) Kraus stack that share one outcome grouping, as (K,)
+    arrays from one conjugation and one ``_outcome_stack`` of their pieces."""
     states = np.stack([s.matrix for s in ensemble.states])
-    pieces = hermitize(np.stack([_coarse_pieces(m, states) for m in measurements]))
+    fine = _conjugate(kraus, np.broadcast_to(states, kraus.shape[:1] + states.shape))
+    pieces = hermitize(_group_sums(fine, groups))
     probs = np.broadcast_to(ensemble.probs, pieces.shape[:1] + ensemble.probs.shape)
     stack = _outcome_stack(probs, pieces.reshape((-1,) + pieces.shape[-2:]),
                            np.ones(pieces.shape[:3], bool))

@@ -232,7 +232,11 @@ class Measurement:
         stack = _frozen(np.stack(ops))
         _check_complete(stack)
         if groups is not None:
-            groups = tuple(map(tuple, groups))
+            try:
+                groups = tuple(map(tuple, groups))
+            except TypeError as exc:
+                raise ValueError(
+                    f"groups must be a list of lists of outcome indices, got {groups!r}") from exc
             if not all(type(i) is int or isinstance(i, np.integer) for g in groups for i in g):
                 raise ValueError(f"outcome indices must be integers, got {groups}")
             groups = tuple(tuple(map(int, g)) for g in groups)
@@ -480,17 +484,17 @@ def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysi
     Group k carries probability Q_k = sum of its members' Q_l and the
     averaged state (sum over the group of Kraus conjugations) / Q_k.
     """
-    states = np.stack([s.matrix for s in ensemble.states])
-    return OutcomeAnalysis(ensemble, measurement, _coarse_pieces(measurement, states), coarse=True)
-
-
-def _coarse_pieces(measurement: Measurement, states: np.ndarray) -> np.ndarray:
-    """(G, I, d, d) pieces of an inefficient measurement on a (I, d, d) stack
-    of states: the Kraus conjugations summed over each outcome group."""
     if measurement.groups is None:
         raise ValueError("coarse_grain requires a measurement with outcome groups")
-    fine = _conjugations(measurement, states)
-    return np.stack([fine[list(g)].sum(axis=0) for g in measurement.groups])
+    fine = _conjugations(measurement, np.stack([s.matrix for s in ensemble.states]))
+    pieces = _group_sums(fine, measurement.groups)
+    return OutcomeAnalysis(ensemble, measurement, pieces, coarse=True)
+
+
+def _group_sums(fine: np.ndarray, groups) -> np.ndarray:
+    """The (..., G, I, d, d) pieces of an inefficient measurement: a (..., J, I, d, d)
+    stack of Kraus conjugations summed over each outcome group, in group order."""
+    return np.stack([fine[..., list(g), :, :, :].sum(axis=-4) for g in groups], axis=-4)
 
 
 def mix_measurements(m1: Measurement, m2: Measurement, lam: float) -> Measurement:

@@ -25,9 +25,9 @@ from .bounds import (_chain_terms, _chi_stage, _coarse_terms, _corollary_terms, 
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
                      uniform_ensemble_info_exact, uniform_ensemble_info_mc)
 from .infomeasures import holevo_chi, shannon, subentropy
-from .qobjects import (DensityOperator, Ensemble, Measurement, _random_batch,
+from .qobjects import (DensityOperator, Ensemble, Measurement, _check_complete, _random_batch,
                        apply_measurement, ensemble_from_json, ensemble_state,
-                       measurement_to_json, mix_measurements, pure_state, random_instance)
+                       measurement_to_json, pure_state, random_instance)
 
 LN2 = float(np.log(2.0))
 
@@ -453,25 +453,28 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
 
 def _scn_inefficient_violation(cfg: ScenarioConfig):
     """Coarse-grained mixtures of the X and Z measurements: the sweep's grid
-    points are evaluated as one stack of their coarse pieces."""
+    is one (grid, 4, 2, 2) Kraus stack, the Kraus operators of
+    ``mix_measurements`` with a zero-weight parent kept as zero operators."""
     grid = cfg.param("grid", 101, int)
     eq_tol = cfg.param("eq_tol", 1e-9, float)
-    if grid < 2:
-        raise InvalidConfigError("grid must be >= 2")
+    if not 2 <= grid <= 10 ** 6:  # checked first: its Kraus stack alone is 256 MB at 10**6
+        raise InvalidConfigError("grid must be >= 2 and <= 1000000")
     ens = counterexample_encoding()
     m_z = basis_projectors(2)
     m_x = qubit_x_projectors()
-    lams = np.linspace(0.0, 1.0, grid).tolist()
-    info_i, info_f = _coarse_terms(ens, (mix_measurements(m_x, m_z, lam) for lam in lams))
+    lams = np.linspace(0.0, 1.0, grid)
+    kraus = np.concatenate([np.sqrt(lams)[:, None, None, None] * m_x.kraus_stack,
+                            np.sqrt(1.0 - lams)[:, None, None, None] * m_z.kraus_stack], axis=1)
+    _check_complete(kraus)
+    info_i, info_f = _coarse_terms(ens, kraus, ((0, 2), (1, 3)))
     violation = (info_i > info_f + cfg.tol) & (info_i > cfg.tol) & (info_f > cfg.tol)
     n_violations = int(violation.sum())
-    records = _records([{"kind": "sweep", "lam": lam} for lam in lams],
+    records = _records([{"kind": "sweep", "lam": lam} for lam in lams.tolist()],
                        {"info_i": info_i, "info_f": info_f, "violation": violation})
 
     # Fully grouped unbiased-basis case: information gain about the index
     # is zero while the entropy of the state strictly increases.
-    info_i, info_f = (float(x[0]) for x in _coarse_terms(
-        ens, [Measurement(m_x.kraus, groups=[[0, 1]])]))
+    info_i, info_f = (float(x[0]) for x in _coarse_terms(ens, m_x.kraus_stack[None], ((0, 1),)))
     target = shannon([0.75, 0.25]) - LN2
     grouped_ok = bool(abs(info_f - target) <= eq_tol and abs(info_i) <= 1e-12)
     records.append({"kind": "grouped-x", "lam": None, "info_i": info_i,

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbound.accinfo import povm_from_vectors
-from qbound.bounds import (SaturationFlags, bound_report, bound_reports,
+from qbound.bounds import (SaturationFlags, _coarse_terms, bound_report, bound_reports,
                            saturation_predicates)
 from qbound.haarmc import haar_unitary
-from qbound.infomeasures import mutual_information, subentropy, von_neumann
+from qbound.infomeasures import info_gain_f, mutual_information, subentropy, von_neumann
 from qbound.matrixcore import commutes, operator_rank
 from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, Measurement,
                              apply_measurement, coarse_grain, random_instance)
@@ -137,6 +137,29 @@ def test_coarse_graining_loses_index_information(instance, data):
     fine = mutual_information(apply_measurement(meas, ens))
     coarse = mutual_information(coarse_grain(Measurement(meas.kraus, groups=groups), ens))
     assert coarse <= fine + 1e-9
+
+
+@st.composite
+def kraus_stacks(draw):
+    """An ensemble of dim 2-4 and a (K, J, d, d) stack of K = 1-5 random
+    measurements of J = 2-6 outcomes."""
+    dim, n_outcomes = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=6))
+    ens = random_instance(dim, draw(st.integers(1, 8)), 2, draw(st.booleans()), seeds[0])[0]
+    kraus = np.stack([random_instance(dim, 1, n_outcomes, True, s)[1].kraus_stack
+                      for s in seeds[1:]])
+    return ens, kraus
+
+
+@given(kraus_stacks(), st.data())
+def test_stacked_coarse_terms_match_coarse_grain(instance, data):
+    ens, kraus = instance
+    groups = draw_groups(data, kraus.shape[1])
+    info_i, info_f = _coarse_terms(ens, kraus, groups)
+    for k, ops in enumerate(kraus):
+        analysis = coarse_grain(Measurement(ops, groups=groups), ens)
+        assert info_i[k] == mutual_information(analysis)
+        assert info_f[k] == info_gain_f(analysis)
 
 
 @given(instances(), st.integers(0, 2 ** 32 - 1))

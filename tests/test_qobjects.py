@@ -198,6 +198,17 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="integers"):
             measurement_from_json(obj)
 
+    @pytest.mark.parametrize("groups", [[0, 1], 5])
+    def test_groups_must_be_lists_of_indices(self, groups):
+        with pytest.raises(ValueError, match="groups must be a list of lists"):
+            Measurement(z_measurement().kraus, groups=groups)
+
+    def test_json_groups_must_be_lists_of_indices(self):
+        obj = measurement_to_json(z_measurement())
+        obj["groups"] = json.loads("[0, 1]")
+        with pytest.raises(ValueError, match=r"groups must be a list of lists.*\[0, 1\]"):
+            measurement_from_json(obj)
+
     def test_numpy_integer_indices_become_python_ints(self):
         m = Measurement(z_measurement().kraus, groups=[np.array([1]), [np.int32(0)]])
         assert m.groups == ((1,), (0,))

@@ -393,6 +393,8 @@ _QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_st
     ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=true"],
     ["scenario", "inefficient-violation", "--param", "grid=2.5"],
     ["scenario", "inefficient-violation", "--param", "grid=Infinity"],
+    ["scenario", "inefficient-violation", "--param", "grid=1000001"],
+    ["scenario", "inefficient-violation", "--param", "grid=100000000000"],
     ["verify", "--seed", "-1"],
     ["scenario", "uniform-theorem", "--seed", "-5"],
     ["verify", "--tol", "inf"],
