@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infomeasures import _conditional_gains, _subentropies, holevo_chi, von_neumann
+from .infomeasures import (_conditional_gains, _info_f, _info_i, _subentropies, holevo_chi,
+                           von_neumann)
 from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, sqrt_psd,
                          support_projector)
 from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
                        Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
                        _conjugate, _dot, _group_sums, _member_sums, _mixtures,
-                       _neg_xlogx, _outcome_stack, _povm, ensemble_state, entropies)
+                       _outcome_stack, _povm, ensemble_state, entropies)
 
 
 SWW_ROUTE_TOL = 1e-9  # largest disagreement allowed between the two ``sww`` routes
@@ -323,16 +324,6 @@ def _pair_stack(batch) -> dict:
     probs, states, _, kraus, members, outcomes = batch
     exists = outcomes[:, :, None] & members[:, None, :]
     return _outcome_stack(probs, hermitize(_conjugate(kraus, states)[exists]), exists)
-
-
-def _info_i(probs, stack):
-    """H[P_i] - sum_j Q_j H[P(i|j)] of each instance of a stack."""
-    return _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
-
-
-def _info_f(s_rho, stack):
-    """S[rho] - sum_j Q_j S[rho'_j] of each instance of a stack."""
-    return s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
 
 
 def _coarse_terms(ensemble: Ensemble, kraus: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qobjects import (DensityOperator, Ensemble, InvalidDistributionError,
-                       OutcomeAnalysis, _clean_spectrum, _neg_xlogx, ensemble_state)
+                       OutcomeAnalysis, _clean_spectrum, _dot, _neg_xlogx, ensemble_state)
 
 _QUAD_T = np.exp(np.linspace(-20.0, 38.0, 146))  # nodes t = e^u, step h = 0.4 in u
 _QUAD_W = 0.4 * _QUAD_T  # trapezoid weights h dt/du
@@ -66,15 +66,23 @@ def subentropy(rho: DensityOperator) -> float:
     return float(_subentropies(rho.eigenvalues[None], np.ones(1, bool))[0])
 
 
+def _info_i(probs, stack):
+    """H[P_i] - sum_j Q_j H[P(i|j)] of each instance of an outcome stack."""
+    return _neg_xlogx(probs) - _dot(stack["outcome_probs"], _neg_xlogx(stack["posteriors"]))
+
+
+def _info_f(s_rho, stack):
+    """S[rho] - sum_j Q_j S[rho'_j] of each instance of an outcome stack."""
+    return s_rho - _dot(stack["outcome_probs"], stack["post_entropies"])
+
+
 def mutual_information(analysis: OutcomeAnalysis) -> float:
     """Information gained about the preparation index, in nats.
 
     H[P_i] - sum_j Q_j H[P(i|j)], the mutual information between the
     preparation and the (possibly coarse) outcome record.
     """
-    live = analysis.effective_outcomes()
-    h_post = analysis.outcome_probs[live] @ _neg_xlogx(analysis.posteriors[live])
-    return shannon(analysis.ensemble.probs) - float(h_post)
+    return float(_info_i(analysis.ensemble.probs[None], analysis._stack)[0])
 
 
 def info_gain_f(analysis: OutcomeAnalysis) -> float:
@@ -83,8 +91,7 @@ def info_gain_f(analysis: OutcomeAnalysis) -> float:
     S[rho] - sum_j Q_j S[rho'_j]. For coarse analyses the group-averaged
     final states enter, and the result may be negative.
     """
-    s_post = analysis.outcome_probs @ analysis.post_entropies
-    return von_neumann(ensemble_state(analysis.ensemble)) - float(s_post)
+    return float(_info_f(von_neumann(ensemble_state(analysis.ensemble)), analysis._stack)[0])
 
 
 def _conditional_gains(member_entropies, cond_probs, cond_post_entropies):

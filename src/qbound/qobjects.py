@@ -291,51 +291,33 @@ class OutcomeAnalysis:
     """Joint statistics of one measurement applied to one ensemble, as
     read-only stacked arrays over outcomes j and members i.
 
-    ``pieces[j, i]`` (J, I, d, d) is the unnormalized post state of member i
-    under outcome j (summed over a group when coarse). All probabilities
-    derive from its traces, so Bayes Q_j P(i|j) = P_i Q(j|i) holds by
-    construction: ``outcome_probs`` (J,), ``cond_probs`` Q(j|i) and
-    ``posteriors`` (J, I), zero rows below the floor. ``post_matrices``
-    (J, d, d) and ``cond_post_matrices`` (J, I, d, d) carry clipped
-    ascending ``*_spectra`` and ``*_entropies`` (both 0 below the floor).
-    The ``post_states`` and ``cond_post_states`` views (None below the
-    floor) are not re-validated. The arrays view a stack of one instance.
+    The arrays derive from the unnormalized post states of member i under
+    outcome j (summed over a group when coarse), whose traces give every
+    probability, so Bayes Q_j P(i|j) = P_i Q(j|i) holds by construction:
+    ``outcome_probs`` (J,), ``cond_probs`` Q(j|i) and ``posteriors`` (J, I),
+    zero rows below the floor. ``post_matrices`` (J, d, d) and
+    ``cond_post_matrices`` (J, I, d, d) carry clipped ascending
+    ``*_spectra`` and ``*_entropies`` (both 0 below the floor). The arrays
+    view a stack of one instance.
     """
 
-    __slots__ = ("ensemble", "measurement", "pieces", "coarse", "cond_post_matrices",
-                 "_stack", *_OUTCOME_FIELDS, "_post_states", "_cond_post_states")
+    __slots__ = ("ensemble", "measurement", "coarse", "cond_post_matrices", "_stack",
+                 *_OUTCOME_FIELDS)
 
     def __init__(self, ensemble, measurement, pieces, coarse=False):
         self.ensemble = ensemble
         self.measurement = measurement
-        self.pieces = _frozen(hermitize(pieces))
         self.coarse = coarse
         n_out, n_mem, dim, _ = pieces.shape
-        pairs = self.pieces.reshape(-1, dim, dim).copy()
-        self._stack = _outcome_stack(ensemble.probs[None], pairs, np.ones((1, n_out, n_mem), bool))
+        self._stack = _outcome_stack(ensemble.probs[None], hermitize(pieces).reshape(-1, dim, dim),
+                                     np.ones((1, n_out, n_mem), bool))
         for name in _OUTCOME_FIELDS:
             setattr(self, name, self._stack[name][0])
         self.cond_post_matrices = self._stack["cond_post_matrices"].reshape(pieces.shape)
-        self._post_states = None
-        self._cond_post_states = None
 
     @property
     def n_outcomes(self) -> int:
         return len(self.outcome_probs)
-
-    @property
-    def post_states(self) -> tuple[DensityOperator | None, ...]:
-        if self._post_states is None:
-            self._post_states = _views(self.post_matrices, self.post_spectra,
-                                       self.outcome_probs)
-        return self._post_states
-
-    @property
-    def cond_post_states(self) -> tuple[tuple[DensityOperator | None, ...], ...]:
-        if self._cond_post_states is None:
-            self._cond_post_states = tuple(map(_views, self.cond_post_matrices,
-                                               self.cond_post_spectra, self.cond_probs))
-        return self._cond_post_states
 
     def effective_outcomes(self) -> np.ndarray:
         """Indices of outcomes carrying more than the probability floor."""
@@ -345,13 +327,11 @@ class OutcomeAnalysis:
         """The ensemble of per-member post states conditioned on outcome j."""
         if self.outcome_probs[j] < PROB_FLOOR:
             raise ValueError(f"outcome {j} has negligible probability")
-        probs, states = [], []
-        for i, state in enumerate(self.cond_post_states[j]):
-            if self.posteriors[j, i] >= PROB_FLOOR and state is not None:
-                probs.append(self.posteriors[j, i])
-                states.append(state)
-        p = np.asarray(probs)
-        return Ensemble(p / p.sum(), states)
+        keep = (self.posteriors[j] >= PROB_FLOOR) & (self.cond_probs[j] >= PROB_FLOOR)
+        p = self.posteriors[j, keep]
+        return Ensemble(p / p.sum(), map(DensityOperator._derived,
+                                         _frozen(self.cond_post_matrices[j, keep]),
+                                         self.cond_post_spectra[j, keep]))
 
     def __repr__(self):
         kind = "coarse" if self.coarse else "efficient"
@@ -362,11 +342,6 @@ class OutcomeAnalysis:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _views(matrices, spectra, probs) -> tuple[DensityOperator | None, ...]:
-    return tuple(DensityOperator._derived(m, s) if p >= PROB_FLOOR else None
-                 for m, s, p in zip(matrices, spectra, probs))
 
 
 def _mixtures(probs: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -19,12 +19,11 @@ import numpy as np
 
 from .accinfo import (SearchConfigError, maximize_mutual_info, povm_from_vectors,
                       two_state_reference)
-from .bounds import (_chain_terms, _chi_stage, _coarse_terms, _corollary_terms, _flags, _info_f,
-                     _info_i, _padded, _pair_stack, dimension_bound, dual_holevo_rhs,
-                     eqspec_check)
+from .bounds import (_chain_terms, _chi_stage, _coarse_terms, _corollary_terms, _flags,
+                     _padded, _pair_stack, dimension_bound, dual_holevo_rhs, eqspec_check)
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
                      uniform_ensemble_info_exact, uniform_ensemble_info_mc)
-from .infomeasures import holevo_chi, shannon, subentropy
+from .infomeasures import _info_f, _info_i, holevo_chi, shannon, subentropy
 from .qobjects import (DensityOperator, Ensemble, Measurement, _check_complete, _random_batch,
                        apply_measurement, ensemble_from_json, ensemble_state,
                        measurement_to_json, pure_state, random_instance)
@@ -338,6 +337,8 @@ def _mc_retry(run, trials, seed, passes):
 def _scn_uniform_theorem(cfg: ScenarioConfig):
     povm_kind = cfg.param("povm", "z")
     n_random = cfg.param("n_random", 5, int)
+    if n_random > 10 ** 4:  # checked first: each one is a measurement and a Monte Carlo run
+        raise InvalidConfigError("n_random must be <= 10000")
     rng = np.random.default_rng(cfg.seed)
     jobs = []
     if povm_kind == "z":
@@ -411,6 +412,8 @@ def _scn_eqspec_recovery(cfg: ScenarioConfig):
     opt_budget = cfg.param("opt_budget", 2000, int)
     opt_restarts = cfg.param("opt_restarts", 3, int)
     family_states = cfg.param("family_states", 3, int)
+    if family_states > 1000:  # checked first: eqspec_check loops over its n**2 pairs
+        raise InvalidConfigError("family_states must be <= 1000")
     records = []
 
     # Rank-one measurements satisfy the condition for generic ensembles.
@@ -534,7 +537,7 @@ def _scn_optimize(cfg: ScenarioConfig):
             raise InvalidConfigError(f"optimize reads no {', '.join(unread)} with an ensemble")
         try:
             ens = ensemble_from_json(cfg.params["ensemble"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # "dim": 1e400 is inf
             raise InvalidConfigError(f"invalid ensemble: {exc!r}") from exc
     else:
         n_states = cfg.param("n_states", 2, int)

@@ -16,7 +16,7 @@ import pytest
 from qbound.accinfo import maximize_mutual_info, two_state_reference
 from qbound.bounds import bound_report, dimension_bound, eqspec_check
 from qbound.infomeasures import subentropy
-from qbound.qobjects import (DensityOperator, Ensemble, apply_measurement,
+from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, apply_measurement,
                              pure_state, random_instance)
 from qbound.scenarios import (ScenarioConfig, eqspec_counterexample,
                               eqspec_satisfied_family, run_scenario)
@@ -54,11 +54,11 @@ def chain_results():
             for j in analysis.effective_outcomes():
                 acc = np.zeros((dim, dim), dtype=complex)
                 for i in range(ens.size):
-                    if analysis.cond_post_states[j][i] is not None:
+                    if analysis.cond_probs[j, i] >= PROB_FLOOR:
                         acc += (analysis.posteriors[j, i]
-                                * analysis.cond_post_states[j][i].matrix)
+                                * analysis.cond_post_matrices[j, i])
                 mixture = max(mixture, float(np.max(np.abs(
-                    acc - analysis.post_states[j].matrix))))
+                    acc - analysis.post_matrices[j]))))
             rows.append({
                 "dim": dim,
                 "min_slack": rep.min_slack(),

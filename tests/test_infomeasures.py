@@ -251,7 +251,8 @@ class TestConditionalInfoGain:
                 term = von_neumann(ens.states[i])
                 for j in range(a.n_outcomes):
                     if a.cond_probs[j, i] >= 1e-12:
-                        term -= a.cond_probs[j, i] * von_neumann(a.cond_post_states[j][i])
+                        term -= a.cond_probs[j, i] * von_neumann(
+                            DensityOperator(a.cond_post_matrices[j, i]))
                 raw += ens.probs[i] * term
             assert abs(avg - raw) <= 1e-10
 

@@ -11,10 +11,11 @@ from qbound.accinfo import povm_from_vectors
 from qbound.bounds import (SaturationFlags, _coarse_terms, bound_report, bound_reports,
                            saturation_predicates)
 from qbound.haarmc import haar_unitary
-from qbound.infomeasures import info_gain_f, mutual_information, subentropy, von_neumann
+from qbound.infomeasures import (info_gain_f, mutual_information, shannon, subentropy,
+                                 von_neumann)
 from qbound.matrixcore import commutes, operator_rank
-from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, Measurement,
-                             apply_measurement, coarse_grain, random_instance)
+from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, Measurement, _neg_xlogx,
+                             apply_measurement, coarse_grain, ensemble_state, random_instance)
 from qbound.scenarios import random_diagonal_classical
 
 
@@ -40,27 +41,28 @@ def instances(draw, dim=None):
     return ens, meas
 
 
-def assert_views_match_kraus(a, ens, meas):
-    """Every view equals A rho A† over its probability, formed here one
-    operator at a time, and carries that state's spectrum."""
+def assert_arrays_match_kraus(a, ens, meas):
+    """Every post matrix equals A rho A† over its probability, formed here one
+    operator at a time, and carries that state's spectrum; below the floor
+    its spectrum and entropy are 0."""
     for j, op in enumerate(meas.kraus):
         cond = [op @ s.matrix @ op.conj().T for s in ens.states]
         total = sum(p * c for p, c in zip(ens.probs, cond))
-        view = a.post_states[j]
         if a.outcome_probs[j] < PROB_FLOOR:
-            assert view is None
+            assert not a.post_spectra[j].any() and a.post_entropies[j] == 0.0
         else:
-            np.testing.assert_allclose(view.matrix * a.outcome_probs[j], total, atol=1e-12)
+            np.testing.assert_allclose(a.post_matrices[j] * a.outcome_probs[j], total, atol=1e-12)
             np.testing.assert_allclose(
-                view.eigenvalues, np.linalg.eigvalsh(total / a.outcome_probs[j]), atol=1e-9)
+                a.post_spectra[j], np.linalg.eigvalsh(total / a.outcome_probs[j]), atol=1e-9)
         for i, c in enumerate(cond):
-            view = a.cond_post_states[j][i]
             if a.cond_probs[j, i] < PROB_FLOOR:
-                assert view is None
+                assert not a.cond_post_spectra[j, i].any() and a.cond_post_entropies[j, i] == 0.0
             else:
-                np.testing.assert_allclose(view.matrix * a.cond_probs[j, i], c, atol=1e-12)
+                np.testing.assert_allclose(a.cond_post_matrices[j, i] * a.cond_probs[j, i], c,
+                                           atol=1e-12)
                 np.testing.assert_allclose(
-                    view.eigenvalues, np.linalg.eigvalsh(c / a.cond_probs[j, i]), atol=1e-9)
+                    a.cond_post_spectra[j, i], np.linalg.eigvalsh(c / a.cond_probs[j, i]),
+                    atol=1e-9)
 
 
 @given(instances())
@@ -71,10 +73,12 @@ def test_outcome_tables_and_views(instance):
     bayes = a.outcome_probs[:, None] * a.posteriors - ens.probs * a.cond_probs
     assert np.max(np.abs(bayes)) <= 1e-9
     for j in a.effective_outcomes():
-        mixture = sum(a.posteriors[j, i] * s.matrix
-                      for i, s in enumerate(a.cond_post_states[j]) if s is not None)
-        assert np.max(np.abs(mixture - a.post_states[j].matrix)) <= 1e-8
-    assert_views_match_kraus(a, ens, meas)
+        mixture = sum(a.posteriors[j, i] * a.cond_post_matrices[j, i]
+                      for i in range(ens.size) if a.cond_probs[j, i] >= PROB_FLOOR)
+        assert np.max(np.abs(mixture - a.post_matrices[j])) <= 1e-8
+        average = ensemble_state(a.posterior_ensemble(j)).matrix
+        assert np.max(np.abs(average - a.post_matrices[j])) <= 1e-8
+    assert_arrays_match_kraus(a, ens, meas)
 
 
 @given(instances())
@@ -127,7 +131,7 @@ def test_coarse_grain_sums_its_groups(instance, data):
         assert abs(coarse.outcome_probs[k] - q) <= 1e-12
         if q >= PROB_FLOOR:
             state = sum(fine.outcome_probs[l] * fine.post_matrices[l] for l in group)
-            np.testing.assert_allclose(coarse.post_states[k].matrix * q, state, atol=1e-12)
+            np.testing.assert_allclose(coarse.post_matrices[k] * q, state, atol=1e-12)
 
 
 @given(instances(), st.data())
@@ -137,6 +141,33 @@ def test_coarse_graining_loses_index_information(instance, data):
     fine = mutual_information(apply_measurement(meas, ens))
     coarse = mutual_information(coarse_grain(Measurement(meas.kraus, groups=groups), ens))
     assert coarse <= fine + 1e-9
+
+
+def per_instance_info_i(a):
+    """Test-side port of the per-instance formula ``mutual_information`` had
+    before it ran the stacked kernel: shannon(P) - Q[live] @ H(post[live])."""
+    live = a.effective_outcomes()
+    h_post = a.outcome_probs[live] @ _neg_xlogx(a.posteriors[live])
+    return shannon(a.ensemble.probs) - float(h_post)
+
+
+def per_instance_info_f(a):
+    """The same for ``info_gain_f``: S[rho] - Q @ S(post)."""
+    return von_neumann(ensemble_state(a.ensemble)) - float(a.outcome_probs @ a.post_entropies)
+
+
+@given(instances(), st.data())
+def test_info_i_and_info_f_equal_the_per_instance_formulas_bit_for_bit(instance, data):
+    ens, meas = instance
+    groups = draw_groups(data, meas.size)
+    coarse = coarse_grain(Measurement(meas.kraus, groups=groups), ens)
+    for a in (apply_measurement(meas, ens), coarse):
+        if ens.size < 8 or ens.probs.all():
+            assert mutual_information(a) == per_instance_info_i(a)
+        else:  # numpy sums 8 or more terms in 8 partial sums, so dropping a 0 reorders H[P]
+            bound = ens.size * np.finfo(float).eps * shannon(ens.probs)
+            assert abs(mutual_information(a) - per_instance_info_i(a)) <= bound
+        assert info_gain_f(a) == per_instance_info_f(a)
 
 
 @st.composite

@@ -318,7 +318,7 @@ def one_at_a_time_corollary(cfg):
         analysis = apply_measurement(meas, ens)
         lhs = mutual_information(analysis)
         for j in analysis.effective_outcomes():
-            lam = _clean_spectrum(analysis.post_states[j].eigenvalues)
+            lam = _clean_spectrum(analysis.post_spectra[j])
             lhs += analysis.outcome_probs[j] * _subentropy_table(lam)[0]
         chi = holevo_chi(ens)
         out.append((inst_seed, lhs, chi, chi - lhs >= -cfg.tol))
@@ -407,6 +407,12 @@ _QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_st
     ["optimize", "--param", f"ensemble={json.dumps(_QUBIT_PAIR)}", "--param", "n_states=7"],
     ["optimize", "--param", f"ensemble={json.dumps(_QUBIT_PAIR)}", "--param", "pure=false"],
     ["verify", "--param", "eqtol=5"],
+    ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=10001"],
+    ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=100000"],
+    ["scenario", "eqspec-recovery", "--param", "family_states=1001"],
+    ["scenario", "eqspec-recovery", "--param", "family_states=100000"],
+    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    ["optimize", "--param", 'ensemble={"probs": [1.0], "states": [{"dim": 1e400, "rows": []}]}'],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
