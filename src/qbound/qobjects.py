@@ -583,7 +583,10 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, (int, float)) or not float(dim).is_integer():
+        raise ValueError(f"matrix JSON dim must be an integral number, got {dim!r}")
+    dim = int(dim)
     rows = obj["rows"]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("matrix JSON has inconsistent dimensions")

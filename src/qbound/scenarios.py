@@ -38,6 +38,7 @@ NATS_KEYS = frozenset({
     "mc_mean", "mc_stderr", "pred", "mc_dev",
     "opt_value", "oracle_value", "opt_dev", "bound", "corollary_lhs",
     "corollary_slack", "posterior_info", "target", "target_dev", "lower", "upper",
+    "stationarity",
 })
 
 
@@ -231,7 +232,9 @@ def eqspec_satisfied_family(n_states: int = 3):
     """
     u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     e3 = np.array([0.0, 0.0, 1.0])
-    thetas = 0.3 + 0.4 * np.arange(n_states)
+    # kept off the poles, so every compression's trace is at least
+    # sin²(π / (2(n + 1))), far above EQSPEC_TOL for every accepted n
+    thetas = np.pi * np.arange(1, n_states + 1) / (2 * (n_states + 1))
     states = [pure_state(np.cos(t) * u + np.sin(t) * e3) for t in thetas]
     ens = Ensemble(np.full(n_states, 1.0 / n_states), states)
     p12 = np.diag([1.0, 1.0, 0.0]).astype(np.complex128)
@@ -537,7 +540,7 @@ def _scn_optimize(cfg: ScenarioConfig):
             raise InvalidConfigError(f"optimize reads no {', '.join(unread)} with an ensemble")
         try:
             ens = ensemble_from_json(cfg.params["ensemble"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # "dim": 1e400 is inf
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of a huge "dim"
             raise InvalidConfigError(f"invalid ensemble: {exc!r}") from exc
     else:
         n_states = cfg.param("n_states", 2, int)
@@ -555,6 +558,7 @@ def _scn_optimize(cfg: ScenarioConfig):
                 "below_subentropy": opt.best_value < floor - cfg.tol,
                 "evaluations": opt.evaluations,
                 "last_improvement": opt.trace[-1][0] if opt.trace else 0,
+                "stationarity": opt.stationarity,
                 "measurement": measurement_to_json(opt.best_measurement),
                 "pass": opt.best_value <= chi + cfg.tol and opt.best_value <= dual + cfg.tol}]
     return records, {}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbound.bounds import (LengthMismatchError, NotPureEnsembleError, accb_rhs,
+from qbound.bounds import (EQSPEC_TOL, LengthMismatchError, NotPureEnsembleError, accb_rhs,
                            bound_report, bound_reports, bsub_rhs, dimension_bound,
                            dual_holevo_rhs, eqspec_check, eqx_rhs,
                            saturation_predicates, spectrum_identity_deviation,
@@ -168,6 +168,16 @@ class TestEqspec:
         ens, meas = eqspec_satisfied_family()
         sat, _ = eqspec_check(ens, meas)
         assert sat
+
+    @pytest.mark.parametrize("n", [444, 1000])
+    def test_satisfied_family_compressions_stay_above_the_tolerance(self, n):
+        ens, meas = eqspec_satisfied_family(n)
+        states = np.stack([s.matrix for s in ens.states])
+        traces = np.einsum("kab,iba->ik", meas.kraus_stack, states).real
+        assert traces.min() > EQSPEC_TOL
+
+    def test_satisfied_family_holds_at_444_states(self):
+        assert eqspec_check(*eqspec_satisfied_family(444))[0]
 
 
 class TestDimensionBound:

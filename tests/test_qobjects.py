@@ -477,6 +477,17 @@ class TestJson:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
 
+    @pytest.mark.parametrize("dim", [2, 2.0])
+    def test_matrix_dim_is_an_integral_number(self, dim):
+        obj = {**matrix_to_json(np.eye(2)), "dim": dim}
+        np.testing.assert_array_equal(matrix_from_json(obj), np.eye(2))
+
+    @pytest.mark.parametrize("dim", [True, 2.7, "2", math.inf, math.nan])
+    def test_matrix_dim_that_is_not_an_integral_number_is_rejected(self, dim):
+        obj = {**matrix_to_json(np.eye(2)), "dim": dim}
+        with pytest.raises(ValueError, match="integral"):
+            matrix_from_json(obj)
+
     def test_ensemble_round_trip(self):
         ens, _ = random_instance(3, 3, 2, False, 77)
         back = ensemble_from_json(ensemble_to_json(ens))

@@ -237,7 +237,9 @@ def test_cli_haar_single_trial(capsys):
 
 @pytest.mark.parametrize("args", [["--budget", "50"], ["--outcomes", "1"],
                                   ["--restarts", "0"],
-                                  ["--restarts", "5000", "--budget", "100"]])
+                                  ["--restarts", "5000", "--budget", "100"],
+                                  ["--budget", "1000001"], ["--restarts", "101"],
+                                  ["--outcomes", "1025"]])
 def test_cli_optimize_bad_search_arguments(args, capsys):
     code = main(["optimize"] + args)
     _assert_input_error(code, capsys)
@@ -263,6 +265,7 @@ def test_optimize_record_reports_search_diagnostics():
     assert bits["lower"] == rec["lower"] / math.log(2)
     assert bits["upper"] == rec["upper"] / math.log(2)
     assert bits["evaluations"] == rec["evaluations"]
+    assert bits["stationarity"] == rec["stationarity"] / math.log(2) >= 0.0
     assert bits["below_subentropy"] is rec["below_subentropy"] is False
 
 
@@ -277,7 +280,7 @@ def test_optimize_lower_bound_is_the_subentropy_only_for_pure_ensembles(pure):
 
 def test_optimize_flags_a_search_below_the_subentropy(monkeypatch):
     def trivial_search(ensemble, **_):
-        return OptResult(0.0, Measurement([np.eye(ensemble.dim)]), [], 1, 0, 100)
+        return OptResult(0.0, Measurement([np.eye(ensemble.dim)]), [], 1, 0, 100, 0.0)
 
     monkeypatch.setattr(scenarios, "maximize_mutual_info", trivial_search)
     rec = run_scenario(small_config("optimize")).records[0]
@@ -411,8 +414,16 @@ _QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_st
     ["scenario", "uniform-theorem", "--param", "povm=random", "--param", "n_random=100000"],
     ["scenario", "eqspec-recovery", "--param", "family_states=1001"],
     ["scenario", "eqspec-recovery", "--param", "family_states=100000"],
-    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    # json reads 1e400 as inf, which is not an integral number
     ["optimize", "--param", 'ensemble={"probs": [1.0], "states": [{"dim": 1e400, "rows": []}]}'],
+    # "dim" must be an integral number that is not a bool (int() read these as 1 and 2)
+    ["optimize", "--param",
+     'ensemble={"probs": [1.0], "states": [{"dim": true, "rows": [[[1, 0]]]}]}'],
+    ["optimize", "--param", 'ensemble={"probs": [1.0], "states": '
+                            '[{"dim": 2.7, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]}'],
+    ["scenario", "two-state-accinfo", "--param", "budget=1000001"],
+    ["scenario", "two-state-accinfo", "--param", "restarts=101"],
+    ["scenario", "eqspec-recovery", "--param", "opt_restarts=101"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
