@@ -198,6 +198,76 @@ def test_search_keeps_its_contract_on_varied_cases(case):
     assert abs(res.best_value - res.trace[-1][1]) <= 1e-12
 
 
+def _reference_search(ensemble, n_outcomes, budget, restarts, seed):
+    """The REK iteration one restart and one step size at a time, kept here
+    as the schedule the lockstep search (all restarts, and a window of six
+    step sizes each, scored in one call) must follow. The restarts'
+    histories are merged step by step into the lockstep trace and
+    evaluation count. It scores each candidate by the module's objective on
+    a stack of one, since the 1e-14 stop rule turns on rounding."""
+    probs = ensemble.probs
+    states = np.stack([s.matrix for s in ensemble.states])
+    dim = ensemble.dim
+
+    def objective(v):
+        val, wv, weights = _objective(v[np.newaxis], probs, states)
+        return val[0], wv[0], weights[0]
+
+    cap = (budget // restarts - 1) // 6
+    finals, histories = [], []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        v = (rng.normal(size=(n_outcomes, dim))
+             + 1j * rng.normal(size=(n_outcomes, dim))) / np.sqrt(2)
+        val, v, weights = objective(v)
+        eps, live, history = 1.0, math.isfinite(val), [val]
+        while live and len(history) <= cap:
+            rv = np.einsum("ki,iab,kb->ka", weights, states, v)
+            best = None
+            for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+                cand = objective(v + (eps * m) * rv)
+                if best is None or cand[0] > best[0][0]:
+                    best = (cand, eps * m)
+            (c_val, c_v, c_w), step = best
+            gain = c_val - val
+            if gain > 0.0:
+                val, v, weights, eps, live = c_val, c_v, c_w, step, gain >= 1e-14
+            else:
+                eps /= 16.0
+                live = eps >= 1e-12
+            history.append(val)
+        finals.append((val, v))
+        histories.append(history)
+
+    spent = restarts
+    trace = [(spent, max(h[0] for h in histories))] if any(
+        math.isfinite(h[0]) for h in histories) else []
+    for t in range(1, cap + 1):
+        alive = sum(len(h) > t for h in histories)
+        if not alive:
+            break
+        spent += 6 * alive
+        now = max(h[min(t, len(h) - 1)] for h in histories)
+        if now > trace[-1][1]:
+            trace.append((spent, now))
+    best_v = max(finals, key=lambda f: f[0])[1]
+    return trace, povm_from_vectors(best_v), spent
+
+
+@pytest.mark.parametrize("case", range(len(_contract_cases())))
+def test_windowed_search_follows_the_one_at_a_time_schedule(case):
+    ens, k, budget, restarts, seed = _contract_cases()[case]
+    trace, meas, evals = _reference_search(ens, k, budget, restarts, seed)
+    res = maximize_mutual_info(ens, n_outcomes=k, budget=budget,
+                               restarts=restarts, seed=seed)
+    assert [n for n, _ in res.trace] == [n for n, _ in trace]
+    np.testing.assert_allclose([x for _, x in res.trace], [x for _, x in trace],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.best_measurement.kraus_stack, meas.kraus_stack,
+                               rtol=0, atol=1e-12)
+    assert res.evaluations == evals
+
+
 @pytest.mark.parametrize("overlap", [0.0, 0.3, math.cos(math.pi / 8), 1.0])
 def test_two_state_sweep_vectorized_equals_scalar_loop(overlap):
     alpha = math.acos(overlap) / 2.0
