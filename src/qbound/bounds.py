@@ -8,7 +8,8 @@ the equality of the dual bound with the entropy-reduction gain.
 ``bound_reports`` evaluates many instances as one stack, so each numpy or
 LAPACK call serves them all; the per-instance evaluators are stacks of one.
 The kernel takes the zero-padded batch of ``_padded`` or of a whole-job
-draw (``qobjects._random_batch``) and forms its conjugations in one product;
+draw (``qobjects._random_batch``), with each member's factor B_i, and forms
+the factor products A_j B_i of the pairs that exist in one product;
 ``_chain_terms`` returns the chain as (K,) columns, ``BoundReport`` rows of them.
 """
 
@@ -24,8 +25,9 @@ from .matrixcore import (HERMITIAN_TOL, SUPPORT_TOL, hermitize, operator_rank, s
                          support_projector)
 from .qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
                        Ensemble, Measurement, OutcomeAnalysis, _checked_spectra,
-                       _conjugate, _dot, _group_sums, _member_sums, _mixtures,
-                       _outcome_stack, _povm, ensemble_state, entropies)
+                       _conditional_stage, _dot, _factors, _group_factors, _mixtures,
+                       _outcome_stack, _pair_sums, _povm, _products, _scatter,
+                       ensemble_state, entropies)
 
 
 SWW_ROUTE_TOL = 1e-9  # largest disagreement allowed between the two ``sww`` routes
@@ -48,8 +50,7 @@ def _dual_and_spectra(rho: np.ndarray, s_rho, povm: np.ndarray):
     x = hermitize(root @ povm @ root)
     q = np.ascontiguousarray(np.einsum("kjaa->kj", x).real)  # unit stride for BLAS dot
     live = q >= PROB_FLOOR
-    spectra = np.zeros(x.shape[:-1])
-    spectra[live] = np.linalg.eigvalsh(x[live])
+    spectra = _scatter(live, np.linalg.eigvalsh(x[live]))
     s_cond = entropies(spectra / np.where(live, q, 1.0)[..., None], where=live)
     return s_rho - _dot(q, s_cond), spectra
 
@@ -76,16 +77,17 @@ def _sww_terms_form(stack: dict, chi):
 def _sww_chi_form(stack: dict, chi):
     """Holevo-difference form: chi[ensemble] - sum_j Q_j chi[posterior
     ensemble j]. Each posterior ensemble's average state is rebuilt from
-    the conditional post states, never read from the post states, which
-    cross-validates the mixture identity rho'_j = sum_i P(i|j) rho'_ji."""
+    the conditional post states X X† / Q(j|i), never read from the post
+    states, which cross-validates the mixture identity
+    rho'_j = sum_i P(i|j) rho'_ji."""
     live = stack["outcome_probs"] >= PROB_FLOOR
-    post = stack["posteriors"]
-    w = np.where((post >= PROB_FLOOR) & (stack["cond_probs"] >= PROB_FLOOR), post, 0.0)
+    post, cond = stack["posteriors"], stack["cond_probs"]
+    w = np.where((post >= PROB_FLOOR) & (cond >= PROB_FLOOR), post, 0.0)
     w /= np.where(live, w.sum(axis=-1), 1.0)[..., None]
-    average = _member_sums(w, stack["cond_post_matrices"], stack["exists"])
-    chis = np.zeros(live.shape)
-    chis[live] = (entropies(np.linalg.eigvalsh(average[live]))
-                  - (w * stack["cond_post_entropies"]).sum(axis=-1)[live])
+    average = _pair_sums(w / np.where(cond >= PROB_FLOOR, cond, 1.0), stack["grams"],
+                         stack["exists"])
+    chis = _scatter(live, entropies(np.linalg.eigvalsh(average[live]))
+                    - (w * stack["cond_post_entropies"]).sum(axis=-1)[live])
     return chi - _dot(stack["outcome_probs"], chis)
 
 
@@ -106,8 +108,7 @@ def sww_rhs(analysis: OutcomeAnalysis) -> float:
     return chi_form
 
 
-def _eqx(stack: dict, s_rho, probs, member_entropies):
-    gains = _conditional_gains(member_entropies, stack["cond_probs"], stack["cond_post_entropies"])
+def _eqx(stack: dict, s_rho, probs, gains):
     return s_rho - _dot(probs, gains) - _dot(stack["outcome_probs"], stack["post_entropies"])
 
 
@@ -117,8 +118,9 @@ def eqx_rhs(analysis: OutcomeAnalysis) -> float:
     if analysis.coarse:
         raise ValueError("the rewrite applies to efficient analyses")
     ens = analysis.ensemble
-    return float(_eqx(analysis._stack, von_neumann(ensemble_state(ens)), ens.probs,
-                      ens.member_entropies)[0])
+    gains = _conditional_gains(ens.member_entropies, analysis.cond_probs,
+                               analysis.cond_post_entropies)
+    return float(_eqx(analysis._stack, von_neumann(ensemble_state(ens)), ens.probs, gains)[0])
 
 
 def accb_rhs(acc_total: float, acc_posteriors, outcome_probs) -> float:
@@ -151,7 +153,8 @@ def eqspec_check(ensemble: Ensemble, measurement: Measurement):
     is negligible when its trace is at most ``EQSPEC_TOL``; pairs where
     exactly one is non-negligible fail, pairs where both are pass
     vacuously, and the rest must agree within ``EQSPEC_TOL`` relative to
-    their Frobenius scale.
+    their Frobenius scale. One conjugation per outcome; the pairwise
+    distances are taken in blocks of 256 rows.
 
     Returns ``(satisfied, alphas)`` with ``alphas[i, k, j]`` the trace
     ratio (NaN where undefined).
@@ -160,29 +163,28 @@ def eqspec_check(ensemble: Ensemble, measurement: Measurement):
         raise ValueError("condition applies to efficient measurements")
     if measurement.dim != ensemble.dim:
         raise ValueError("dimension mismatch")
-    n = ensemble.size
-    alphas = np.full((n, n, measurement.size), np.nan)
+    states = np.stack([s.matrix for s in ensemble.states])
+    alphas = np.full((len(states), len(states), measurement.size), np.nan)
     satisfied = True
     for j, a in enumerate(measurement.kraus):
         proj = support_projector(a)
-        comp = [hermitize(proj @ s.matrix @ proj) for s in ensemble.states]
-        traces = [float(np.trace(x).real) for x in comp]
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                ti, tk = traces[i], traces[k]
-                if ti <= EQSPEC_TOL and tk <= EQSPEC_TOL:
-                    continue
-                if ti <= EQSPEC_TOL or tk <= EQSPEC_TOL:
-                    satisfied = False
-                    continue
-                alpha = ti / tk
-                alphas[i, k, j] = alpha
-                scale = max(1.0, np.linalg.norm(comp[i]), np.linalg.norm(comp[k]))
-                if np.linalg.norm(comp[i] - alpha * comp[k]) > EQSPEC_TOL * scale:
-                    satisfied = False
-    return satisfied, alphas
+        comp = hermitize(proj @ states @ proj)
+        traces = np.trace(comp, axis1=1, axis2=2).real
+        big = np.flatnonzero(traces > EQSPEC_TOL)
+        satisfied &= len(big) in (0, len(states))  # else a pair has exactly one negligible
+        comp, traces, norms = comp[big], traces[big], np.linalg.norm(comp[big], axis=(1, 2))
+        for lo in range(0, len(big), 256):
+            rows = slice(lo, lo + 256)
+            ratio = traces[rows, None] / traces
+            np.fill_diagonal(ratio[:, lo:], np.nan)
+            alphas[big[rows, None], big, j] = ratio
+            diff = ratio[:, :, None, None] * comp
+            diff = np.subtract(comp[rows, None], diff, out=diff).view(float)
+            dist = np.sqrt(np.einsum("ikab,ikab->ik", diff, diff))
+            scale = np.maximum(1.0, np.maximum(norms[rows, None], norms))
+            satisfied &= not (dist > EQSPEC_TOL * scale).any()  # NaN on the diagonal compares False
+            del diff  # before the next block's is allocated
+    return bool(satisfied), alphas
 
 
 def dimension_bound(measurement: Measurement, dim: int) -> float:
@@ -228,29 +230,27 @@ def _all_commute(ops: np.ndarray) -> np.ndarray:
 def _padded(instances):
     """Zero-padded stacks of K instances on one space: probabilities (K, I),
     states (K, I, d, d), their spectra (K, I, d), Kraus operators
-    (K, J, d, d), and the masks of the members and outcomes that exist."""
+    (K, J, d, d), the masks of the members and outcomes that exist, and the
+    member factors (K, I, d, r) of ``qobjects._factors``."""
     dim = instances[0][0].dim
     if any(e.dim != dim or m.dim != dim for e, m in instances):
         raise DimensionMismatchError("ensembles and measurements must share one dimension")
     n_mem = np.array([e.size for e, _ in instances])
     n_out = np.array([m.size for _, m in instances])
-    probs = np.zeros((len(instances), n_mem.max()))
-    states = np.zeros(probs.shape + (dim, dim), dtype=np.complex128)
-    spectra = np.zeros(probs.shape + (dim,))
-    kraus = np.zeros((len(instances), n_out.max(), dim, dim), dtype=np.complex128)
-    for k, (e, m) in enumerate(instances):
-        probs[k, :e.size] = e.probs
-        states[k, :e.size] = [s.matrix for s in e.states]
-        spectra[k, :e.size] = [s.eigenvalues for s in e.states]
-        kraus[k, :m.size] = m.kraus_stack
-    return (probs, states, spectra, kraus, np.arange(probs.shape[1]) < n_mem[:, None],
-            np.arange(kraus.shape[1]) < n_out[:, None])
+    members = np.arange(n_mem.max()) < n_mem[:, None]
+    outcomes = np.arange(n_out.max()) < n_out[:, None]
+    states = [s for e, _ in instances for s in e.states]
+    return (_scatter(members, np.concatenate([e.probs for e, _ in instances])),
+            _scatter(members, [s.matrix for s in states]),
+            _scatter(members, [s.eigenvalues for s in states]),
+            _scatter(outcomes, np.concatenate([m.kraus_stack for _, m in instances])),
+            members, outcomes, _scatter(members, _factors(states)))
 
 
 def _flags(batch) -> list[SaturationFlags]:
     """Saturation flags of a ``_padded`` batch; the ranks come from one
     batched singular-value call over the outcomes that exist."""
-    _, states, spectra, kraus, members, outcomes = batch
+    _, states, spectra, kraus, members, outcomes, _ = batch
     s = np.linalg.svd(kraus[outcomes], compute_uv=False)
     rank_one = np.ones(outcomes.shape, dtype=bool)
     rank_one[outcomes] = (s > SUPPORT_TOL * s[:, :1]).sum(axis=-1) == 1
@@ -311,7 +311,7 @@ def spectrum_identity_deviation(rho: DensityOperator, measurement: Measurement,
 def _chi_stage(batch):
     """First stage of the stacked kernel over a ``_padded`` batch of K
     instances: rho (K, d, d), S[rho] (K,), member entropies and chi."""
-    probs, states, spectra, _, members, _ = batch
+    probs, states, spectra, _, members, _, _ = batch
     rho = _mixtures(probs, states)
     s_rho = entropies(_checked_spectra(rho))
     s_members = entropies(spectra, where=members)
@@ -319,23 +319,21 @@ def _chi_stage(batch):
 
 
 def _pair_stack(batch) -> dict:
-    """The ``_outcome_stack`` of a ``_padded`` batch, its conjugations
-    formed by one batched product over the padded stacks."""
-    probs, states, _, kraus, members, outcomes = batch
+    """The ``_outcome_stack`` of a ``_padded`` batch, its factor products
+    formed by one batched product over the pairs that exist only."""
+    probs, _, _, kraus, members, outcomes, factors = batch
     exists = outcomes[:, :, None] & members[:, None, :]
-    return _outcome_stack(probs, hermitize(_conjugate(kraus, states)[exists]), exists)
+    k, j, i = np.nonzero(exists)
+    return _outcome_stack(probs, kraus[k, j] @ factors[k, i], exists)
 
 
 def _coarse_terms(ensemble: Ensemble, kraus: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     """I_i and I_f of one ensemble under the K inefficient measurements of a
     complete (K, J, d, d) Kraus stack that share one outcome grouping, as (K,)
-    arrays from one conjugation and one ``_outcome_stack`` of their pieces."""
-    states = np.stack([s.matrix for s in ensemble.states])
-    fine = _conjugate(kraus, np.broadcast_to(states, kraus.shape[:1] + states.shape))
-    pieces = hermitize(_group_sums(fine, groups))
-    probs = np.broadcast_to(ensemble.probs, pieces.shape[:1] + ensemble.probs.shape)
-    stack = _outcome_stack(probs, pieces.reshape((-1,) + pieces.shape[-2:]),
-                           np.ones(pieces.shape[:3], bool))
+    arrays from one factor product and one ``_outcome_stack`` of their groups."""
+    x = _group_factors(_products(kraus, _factors(ensemble.states)), groups)
+    probs = np.broadcast_to(ensemble.probs, x.shape[:1] + ensemble.probs.shape)
+    stack = _outcome_stack(probs, x.reshape((-1,) + x.shape[-2:]), np.ones(x.shape[:3], bool))
     return _info_i(probs, stack), _info_f(von_neumann(ensemble_state(ensemble)), stack)
 
 
@@ -349,20 +347,23 @@ def _corollary_terms(batch):
 
 def _chain_terms(batch, stack=None) -> tuple[dict, dict]:
     """The bound chain of a ``_padded`` batch as (K,) columns: the
-    quantities of ``BoundReport`` in its field order, and its five slacks.
-    The ``_outcome_stack``, unless given, is built last, so that the other
-    temporaries never sit on top of it."""
+    quantities of ``BoundReport`` in its field order, and its seven slacks,
+    ``purification`` the least S[rho_i] - sum_j Q(j|i) S[rho'_ji] over the
+    members above the floor. The outcome stack, unless given, is built
+    last, so that the other temporaries never sit on top of it."""
     rho, s_rho, s_members, chi = _chi_stage(batch)
     probs = batch[0]
     dual, spectra_dual = _dual_and_spectra(rho, s_rho, _povm(batch[3]))
-    stack = _pair_stack(batch) if stack is None else stack
+    stack = _conditional_stage(_pair_stack(batch) if stack is None else stack)
+    gains = _conditional_gains(s_members, stack["cond_probs"], stack["cond_post_entropies"])
     info_i, info_f, sww = _info_i(probs, stack), _info_f(s_rho, stack), _sww_chi_form(stack, chi)
     terms = {"info_i": info_i, "info_f": info_f, "chi": chi, "dual": dual, "sww": sww,
-             "sww_alt": _sww_terms_form(stack, chi), "eqx": _eqx(stack, s_rho, probs, s_members),
+             "sww_alt": _sww_terms_form(stack, chi), "eqx": _eqx(stack, s_rho, probs, gains),
              "spectrum_dev": _spectrum_deviation(spectra_dual, stack)}
     slacks = {"info_i_nonneg": info_i, "info_f_minus_info_i": info_f - info_i,
               "sww_minus_info_i": sww - info_i, "chi_minus_sww": chi - sww,
-              "dual_minus_info_i": dual - info_i}
+              "dual_minus_info_i": dual - info_i, "info_f_minus_sww": info_f - sww,
+              "purification": np.where(probs >= PROB_FLOOR, gains, np.inf).min(axis=-1)}
     return terms, slacks
 
 

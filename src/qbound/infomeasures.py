@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .qobjects import (DensityOperator, Ensemble, InvalidDistributionError,
-                       OutcomeAnalysis, _clean_spectrum, _dot, _neg_xlogx, ensemble_state)
+                       OutcomeAnalysis, _clean_spectrum, _dot, _neg_xlogx, _scatter,
+                       ensemble_state)
 
 _QUAD_T = np.exp(np.linspace(-20.0, 38.0, 146))  # nodes t = e^u, step h = 0.4 in u
 _QUAD_W = 0.4 * _QUAD_T  # trapezoid weights h dt/du
@@ -56,9 +57,7 @@ def _subentropies(spectra: np.ndarray, live: np.ndarray) -> np.ndarray:
         logs += np.log1p(col[:, None] / _QUAD_T)
     values = ((-np.expm1(-logs) - 1.0 / (1.0 + _QUAD_T)) * _QUAD_W).sum(axis=-1)
     values[(lam > 0.0).sum(axis=-1) <= 1] = 0.0
-    out = np.zeros(live.shape)
-    out[live] = values
-    return out
+    return _scatter(live, values)
 
 
 def subentropy(rho: DensityOperator) -> float:

@@ -5,7 +5,8 @@ defining invariants eagerly (Hermiticity, positivity, unit trace,
 completeness, partition structure). :func:`apply_measurement` produces the
 full joint outcome statistics — outcome probabilities, likelihoods,
 posteriors, post-measurement states, their spectra and von Neumann
-entropies — that every information quantity downstream consumes.
+entropies — that every information quantity downstream consumes. Members
+carry factors B (rho = B B†), so each post state is a Gram product of X = A B.
 
 JSON wire formats (shared with the command-line layer):
 
@@ -54,6 +55,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _scatter(mask: np.ndarray, values) -> np.ndarray:
+    """Zeros of shape ``mask.shape`` + item shape, ``values`` where ``mask`` is true."""
+    values = np.asarray(values)
+    out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
+    out[mask] = values
+    return out
+
+
 def _clean_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Clip and renormalize density-operator spectra along the last axis.
 
@@ -74,9 +83,7 @@ def entropies(spectra, where=None) -> np.ndarray:
     spectra = np.asarray(spectra, dtype=float)
     if where is None:
         return _neg_xlogx(_clean_spectrum(spectra))
-    out = np.zeros(spectra.shape[:-1])
-    out[where] = _neg_xlogx(_clean_spectrum(spectra[where]))
-    return out
+    return _scatter(where, _neg_xlogx(_clean_spectrum(spectra[where])))
 
 
 def _checked_spectra(m: np.ndarray) -> np.ndarray:
@@ -98,21 +105,20 @@ def _checked_spectra(m: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """A positive semidefinite, unit-trace operator."""
 
-    __slots__ = ("_matrix", "_eigenvalues", "_entropy")
+    __slots__ = ("_matrix", "_eigenvalues", "_entropy", "_factor")
 
     def __init__(self, matrix):
         m = as_square_complex(matrix).copy()
         self._eigenvalues = _checked_spectra(m[None])[0]
         self._matrix = _frozen(m)
-        self._entropy = None
+        self._entropy = self._factor = None
 
     @classmethod
-    def _derived(cls, matrix: np.ndarray, eigenvalues: np.ndarray) -> "DensityOperator":
-        """View a read-only matrix with its clipped spectrum, not checked again."""
+    def _derived(cls, matrix: np.ndarray, eigenvalues: np.ndarray, factor=None):
+        """View a read-only matrix with its clipped spectrum (and a read-only
+        (d, r) factor B, matrix = B B†), not checked again."""
         rho = cls.__new__(cls)
-        rho._matrix = matrix
-        rho._eigenvalues = eigenvalues
-        rho._entropy = None
+        rho._matrix, rho._eigenvalues, rho._entropy, rho._factor = matrix, eigenvalues, None, factor
         return rho
 
     @property
@@ -149,7 +155,22 @@ def pure_state(vector) -> DensityOperator:
     nrm2 = float(np.vdot(v, v).real)
     if nrm2 <= 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return DensityOperator(np.outer(v, v.conj()) / nrm2)
+    rho = DensityOperator(np.outer(v, v.conj()) / nrm2)
+    rho._factor = _frozen((v / np.sqrt(nrm2))[:, None])
+    return rho
+
+
+def _factors(states) -> np.ndarray:
+    """Factors B_i (rho_i = B_i B_i†) of states as an (I, d, r) stack, zero-padded
+    to the widest; a state made without one gets and keeps V sqrt(L) over its
+    positive eigenvalues, largest first, from one batched ``eigh``."""
+    todo = [s for s in states if s._factor is None]
+    if todo:
+        w, v = np.linalg.eigh(np.stack([s.matrix for s in todo]))
+        for s, wk, vk in zip(todo, w[:, ::-1], v[..., ::-1]):
+            s._factor = _frozen((vk * np.sqrt(np.maximum(wk, 0.0)))[:, :max(1, (wk > 0.0).sum())])
+    width = max(s._factor.shape[1] for s in states)
+    return np.stack([np.pad(s._factor, ((0, 0), (0, width - s._factor.shape[1]))) for s in states])
 
 
 class Ensemble:
@@ -291,29 +312,34 @@ class OutcomeAnalysis:
     """Joint statistics of one measurement applied to one ensemble, as
     read-only stacked arrays over outcomes j and members i.
 
-    The arrays derive from the unnormalized post states of member i under
-    outcome j (summed over a group when coarse), whose traces give every
-    probability, so Bayes Q_j P(i|j) = P_i Q(j|i) holds by construction:
-    ``outcome_probs`` (J,), ``cond_probs`` Q(j|i) and ``posteriors`` (J, I),
-    zero rows below the floor. ``post_matrices`` (J, d, d) and
-    ``cond_post_matrices`` (J, I, d, d) carry clipped ascending
-    ``*_spectra`` and ``*_entropies`` (both 0 below the floor). The arrays
-    view a stack of one instance.
+    The arrays derive from the factor products X = A_j B_i of member i
+    under outcome j (side by side over a group when coarse), whose squared
+    norms give every probability, so Bayes Q_j P(i|j) = P_i Q(j|i) holds by
+    construction: ``outcome_probs`` (J,), ``cond_probs`` Q(j|i) and
+    ``posteriors`` (J, I), zero rows below the floor. ``post_matrices``
+    (J, d, d) and ``cond_post_matrices`` (J, I, d, d), X X† / Q(j|i), carry
+    clipped ascending ``*_spectra`` and ``*_entropies`` (both 0 below the
+    floor); when efficient, a member given as a pure state has conditional
+    spectra exactly {0, ..., 0, 1}. The arrays view a stack of one instance.
     """
 
     __slots__ = ("ensemble", "measurement", "coarse", "cond_post_matrices", "_stack",
                  *_OUTCOME_FIELDS)
 
-    def __init__(self, ensemble, measurement, pieces, coarse=False):
-        self.ensemble = ensemble
-        self.measurement = measurement
-        self.coarse = coarse
-        n_out, n_mem, dim, _ = pieces.shape
-        self._stack = _outcome_stack(ensemble.probs[None], hermitize(pieces).reshape(-1, dim, dim),
-                                     np.ones((1, n_out, n_mem), bool))
+    def __init__(self, ensemble, measurement, coarse=False):
+        if measurement.dim != ensemble.dim:
+            raise DimensionMismatchError(
+                f"measurement dim {measurement.dim} != ensemble dim {ensemble.dim}")
+        self.ensemble, self.measurement, self.coarse = ensemble, measurement, coarse
+        x = _products(measurement.kraus_stack, _factors(ensemble.states))
+        x = _group_factors(x, measurement.groups) if coarse else x
+        self._stack = _conditional_stage(_outcome_stack(ensemble.probs[None], x.reshape(
+            (-1,) + x.shape[2:]), np.ones((1,) + x.shape[:2], bool)))
         for name in _OUTCOME_FIELDS:
             setattr(self, name, self._stack[name][0])
-        self.cond_post_matrices = self._stack["cond_post_matrices"].reshape(pieces.shape)
+        q = np.where(self.cond_probs >= PROB_FLOOR, self.cond_probs, 1.0)[..., None, None]
+        grams = self._stack["grams"].reshape(x.shape[:-1] + x.shape[-2:-1])
+        self.cond_post_matrices = _frozen(hermitize(grams) / q)
 
     @property
     def n_outcomes(self) -> int:
@@ -373,84 +399,74 @@ def _check_complete(kraus: np.ndarray) -> None:
         raise ValueError("Kraus operators do not satisfy completeness")
 
 
-def _conjugate(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Every conjugation A_kj rho_ki A_kj† of (..., J, d, d) Kraus operators
-    and (..., I, d, d) states as a (..., J, I, d, d) stack, from two batched
-    BLAS products over reshaped stacks (a three-operand einsum is ~5x slower)."""
-    lead, (n_out, dim), n_mem = kraus.shape[:-3], kraus.shape[-3:-1], states.shape[-3]
-    left = (kraus.reshape(lead + (n_out * dim, dim))
-            @ states.swapaxes(-3, -2).reshape(lead + (dim, n_mem * dim)))
-    both = left.reshape(lead + (n_out, dim * n_mem, dim)) @ kraus.conj().swapaxes(-1, -2)
-    return both.reshape(lead + (n_out, dim, n_mem, dim)).swapaxes(-3, -2)
+def _products(kraus: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Every factor product A_j B_i of (..., J, d, d) Kraus operators and
+    (..., I, d, r) member factors as a (..., J, I, d, r) stack, from one
+    batched BLAS product over reshaped stacks."""
+    (n_out, dim), (n_mem, _, width) = kraus.shape[-3:-1], factors.shape[-3:]
+    x = (kraus.reshape(kraus.shape[:-3] + (n_out * dim, dim))
+         @ factors.swapaxes(-3, -2).reshape(factors.shape[:-3] + (dim, n_mem * width)))
+    return x.reshape(x.shape[:-2] + (n_out, dim, n_mem, width)).swapaxes(-3, -2)
 
 
-def _conjugations(measurement: Measurement, states: np.ndarray) -> np.ndarray:
-    """The (J, I, d, d) Kraus conjugations of one measurement and a (I, d, d)
-    stack of states."""
-    if measurement.dim != states.shape[-1]:
-        raise DimensionMismatchError(
-            f"measurement dim {measurement.dim} != ensemble dim {states.shape[-1]}")
-    return _conjugate(measurement.kraus_stack, states)
+def _pair_sums(weights: np.ndarray, grams: np.ndarray, exists: np.ndarray) -> np.ndarray:
+    """sum_i weights[k, j, i] X X† over the flat (L, d, d) products X X† of the
+    pairs in the (K, J, I) mask ``exists`` (C order), each outcome's members
+    summed in order, as a Hermitian (K, J, d, d) stack."""
+    terms = grams * np.broadcast_to(weights, exists.shape)[exists][:, None, None]
+    rows, counts = exists.any(axis=-1), exists.sum(axis=-1)
+    return hermitize(_scatter(rows, np.add.reduceat(terms, np.cumsum(counts[rows]) - counts[rows],
+                                                    axis=0)))
 
 
-def _member_sums(weights: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> np.ndarray:
-    """sum_i weights[k, j, i] M_kji of flat (L, d, d) pair matrices as a
-    (K, J, d, d) stack, summed member by member as einsum sums, same bits;
-    ``weights`` broadcasts to the (K, J, I) mask ``exists``."""
-    if exists.all():  # no padding: the pairs are a (K, J, I, d, d) stack
-        return np.einsum("kji,kjiab->kjab", weights, pairs.reshape(exists.shape + pairs.shape[1:]))
-    weights = np.broadcast_to(weights, exists.shape)
-    position = np.cumsum(exists).reshape(exists.shape) - 1
-    acc = np.zeros(exists.shape[:2] + pairs.shape[1:], dtype=np.complex128)
-    for i in range(exists.shape[2]):
-        k, j = np.nonzero(exists[:, :, i])
-        terms = pairs[position[k, j, i]]
-        terms *= weights[k, j, i][:, None, None]
-        acc[k, j] += terms
-    return acc
-
-
-def _spectra(matrices: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped ascending spectra and entropies of the live matrices of a
-    stack (0 elsewhere), from one ``eigvalsh``; a copy only if some are not."""
-    if live.all():
-        spectra = np.maximum(np.linalg.eigvalsh(matrices), 0.0)
-        return spectra, entropies(spectra)
-    spectra = np.zeros(matrices.shape[:-1])
-    spectra[live] = np.maximum(np.linalg.eigvalsh(matrices[live]), 0.0)
-    return spectra, entropies(spectra, where=live)
-
-
-def _outcome_stack(probs: np.ndarray, pairs: np.ndarray, exists: np.ndarray) -> dict:
-    """``OutcomeAnalysis`` arrays of K instances, zero-padded with a leading
-    instance axis, from (K, I) member probabilities and the Hermitian pieces
-    of the pairs in the (K, J, I) mask ``exists``, flat (L, d, d); these are
-    divided in place into ``cond_post_matrices``. Padded members and
-    outcomes need no special case: they fall below ``PROB_FLOOR``."""
-    cond = np.zeros(exists.shape)
-    cond[exists] = np.maximum(np.einsum("laa->l", pairs).real, 0.0)
+def _outcome_stack(probs: np.ndarray, x: np.ndarray, exists: np.ndarray) -> dict:
+    """The outcome stage of K instances: ``OutcomeAnalysis`` arrays but the
+    conditional ones, zero-padded with a leading instance axis, from (K, I)
+    member probabilities and the flat (L, d, r) factor products X = A_j B_i of
+    the pairs in the (K, J, I) mask ``exists``: Q(j|i) = ||X||_F^2, Q_j rho'_j =
+    sum_i P_i X X†. Padded members and outcomes fall below ``PROB_FLOOR``."""
+    x = np.ascontiguousarray(x)
+    flat = x.reshape(len(x), -1).view(float)
+    cond = _scatter(exists, np.einsum("lx,lx->l", flat, flat))
     outcome_probs = (cond @ probs[..., None])[..., 0]
-    live, cond_live = outcome_probs >= PROB_FLOOR, cond >= PROB_FLOOR
+    live = outcome_probs >= PROB_FLOOR
     q = np.where(live, outcome_probs, 1.0)[..., None]
-    out = {"exists": exists, "cond_probs": cond, "outcome_probs": outcome_probs,
+    grams = x @ x.conj().swapaxes(-1, -2)
+    out = {"exists": exists, "factors": x, "grams": grams, "cond_probs": cond,
+           "outcome_probs": outcome_probs,
            "posteriors": np.where(live[..., None], probs[:, None] * cond / q, 0.0),
-           "post_matrices": _member_sums(probs[:, None], pairs, exists) / q[..., None],
-           "cond_post_spectra": np.zeros(exists.shape + pairs.shape[-1:]),
-           "cond_post_entropies": np.zeros(exists.shape)}
-    pairs /= np.where(cond_live, cond, 1.0)[exists][:, None, None]
-    out["cond_post_matrices"] = pairs
-    out["post_spectra"], out["post_entropies"] = _spectra(out["post_matrices"], live)
-    out["cond_post_spectra"][exists], out["cond_post_entropies"][exists] = _spectra(
-        pairs, cond_live[exists])
-    for a in out.values():
-        _frozen(a)
-    return out
+           "post_matrices": _pair_sums(probs[:, None], grams, exists) / q[..., None]}
+    spectra = _scatter(live, np.maximum(np.linalg.eigvalsh(out["post_matrices"][live]), 0.0))
+    out["post_spectra"], out["post_entropies"] = spectra, entropies(spectra, where=live)
+    return {k: _frozen(a) for k, a in out.items()}
+
+
+def _conditional_stage(stack: dict) -> dict:
+    """An outcome stack with its conditional post spectra and entropies (0 below
+    the floor) in place of its factor products, run only where they are read:
+    the spectrum of the smaller of each pair's X†X and X X† over Q(j|i), and
+    {0, ..., 0, 1} without an eigen solve for a pair whose X has one nonzero
+    column (a pure member)."""
+    if "cond_post_entropies" in stack:
+        return stack
+    stack = dict(stack)
+    x, exists = stack.pop("factors"), stack["exists"]
+    cond = stack["cond_probs"][exists]
+    live = cond >= PROB_FLOOR
+    mixed = live & (x[..., 1:] != 0.0).any(axis=(-2, -1))
+    spectra = np.zeros((len(x), x.shape[-2]))
+    spectra[live & ~mixed, -1] = 1.0
+    n = min(x.shape[-2:])
+    gram = (stack["grams"][mixed] if n == x.shape[-2]
+            else np.einsum("lai,laj->lij", x[mixed].conj(), x[mixed]))
+    spectra[mixed, -n:] = np.maximum(np.linalg.eigvalsh(gram / cond[mixed][:, None, None]), 0.0)
+    return {**stack, "cond_post_spectra": _frozen(_scatter(exists, spectra)),
+            "cond_post_entropies": _frozen(_scatter(exists, entropies(spectra, where=mixed)))}
 
 
 def apply_measurement(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysis:
     """Apply an efficient measurement: the observer learns the exact outcome."""
-    states = np.stack([s.matrix for s in ensemble.states])
-    return OutcomeAnalysis(ensemble, measurement, _conjugations(measurement, states))
+    return OutcomeAnalysis(ensemble, measurement)
 
 
 def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysis:
@@ -461,15 +477,18 @@ def coarse_grain(measurement: Measurement, ensemble: Ensemble) -> OutcomeAnalysi
     """
     if measurement.groups is None:
         raise ValueError("coarse_grain requires a measurement with outcome groups")
-    fine = _conjugations(measurement, np.stack([s.matrix for s in ensemble.states]))
-    pieces = _group_sums(fine, measurement.groups)
-    return OutcomeAnalysis(ensemble, measurement, pieces, coarse=True)
+    return OutcomeAnalysis(ensemble, measurement, coarse=True)
 
 
-def _group_sums(fine: np.ndarray, groups) -> np.ndarray:
-    """The (..., G, I, d, d) pieces of an inefficient measurement: a (..., J, I, d, d)
-    stack of Kraus conjugations summed over each outcome group, in group order."""
-    return np.stack([fine[..., list(g), :, :, :].sum(axis=-4) for g in groups], axis=-4)
+def _group_factors(x: np.ndarray, groups) -> np.ndarray:
+    """The (..., G, I, d, w r) factors of an inefficient measurement's pieces:
+    the (..., J, I, d, r) factor products of each outcome group side by side,
+    in group order, a short group padded with zero columns (w: the largest
+    group), so that X X† is the group's sum of Kraus conjugations."""
+    width = max(map(len, groups))
+    x = np.concatenate([x, np.zeros_like(x[..., :1, :, :, :])], axis=-4)  # index -1: zeros
+    x = x[..., [list(g) + [-1] * (width - len(g)) for g in groups], :, :, :]
+    return np.moveaxis(x, -4, -2).reshape(x.shape[:-4] + x.shape[-3:-1] + (-1,))
 
 
 def mix_measurements(m1: Measurement, m2: Measurement, lam: float) -> Measurement:
@@ -506,8 +525,10 @@ def random_instance(dim: int, n_states: int, n_outcomes: int, pure: bool,
     roundoff by construction. Deterministic for a fixed seed. A batch of
     one of :func:`_random_batch`, which draws whole jobs.
     """
-    probs, states, spectra, kraus, _, _ = _random_batch(dim, [(seed, n_states, n_outcomes, pure)])
-    return (Ensemble(probs[0], map(DensityOperator._derived, _frozen(states[0]), spectra[0])),
+    probs, states, spectra, kraus, _, _, factors = _random_batch(
+        dim, [(seed, n_states, n_outcomes, pure)])
+    return (Ensemble(probs[0], map(DensityOperator._derived, _frozen(states[0]), spectra[0],
+                                   _frozen(factors[0]))),
             Measurement._derived(_frozen(kraus[0])))
 
 
@@ -528,7 +549,9 @@ def _random_batch(dim: int, specs):
     uniform spacings, states, ranks, factors. The rest is stacked over the
     job (forming and checking the probabilities, the states and the factor
     totals, inverse roots, completeness); an instance whose total is
-    ill-conditioned redraws its ranks and factors from its own generator."""
+    ill-conditioned redraws its ranks and factors from its own generator.
+    The member factors come last: g / ||g|| of each draw, (d, 1) for a pure
+    state and (d, d) for a mixed one, padded to (d, d) if the job has both."""
     if dim < 2 or any(n < 1 or j < 1 for _, n, j, _ in specs):
         raise ValueError("need dim >= 2, n_states >= 1, n_outcomes >= 1")
     rngs = [np.random.default_rng(seed) for seed, *_ in specs]
@@ -545,17 +568,16 @@ def _random_batch(dim: int, specs):
     normals = [r.normal(size=(n, 2, dim) if p else (n, 2, dim, dim))
                for r, n, p in zip(rngs, n_mem, pure)]
     states = np.zeros(probs.shape + (dim, dim), dtype=np.complex128)
+    factors = np.zeros(probs.shape + (dim, 1 if pure.all() else dim), dtype=np.complex128)
     for kind in set(pure.tolist()):
         z = np.concatenate([x for x, p in zip(normals, pure) if p == kind])
-        g = z[:, 0] + 1j * z[:, 1]
-        if kind:
-            m = g[:, :, None] * g.conj()[:, None, :] / (g.conj()[:, None, :] @ g[:, :, None]).real
-        else:
-            w = g @ g.conj().swapaxes(1, 2)
-            m = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
-        states[members & (pure == kind)[:, None]] = m
-    spectra = np.zeros(probs.shape + (dim,))
-    spectra[members] = _checked_spectra(states[members])
+        g = z[:, 0, :, None] + 1j * z[:, 1, :, None] if kind else z[:, 0] + 1j * z[:, 1]
+        gh, mask = g.conj().swapaxes(1, 2), members & (pure == kind)[:, None]
+        w = g * gh if kind else g @ gh
+        norm = (gh @ g).real if kind else np.trace(w, axis1=1, axis2=2).real[:, None, None]
+        states[mask] = w / norm
+        factors[mask, :, :g.shape[-1]] = g / np.sqrt(norm)
+    spectra = _scatter(members, _checked_spectra(states[members]))
 
     kraus = np.zeros((len(specs), outcomes.shape[1], dim, dim), dtype=np.complex128)
     draw = np.ones(len(specs), dtype=bool)
@@ -570,7 +592,7 @@ def _random_batch(dim: int, specs):
     inv_root = (v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     kraus = np.where(outcomes[..., None, None], kraus @ inv_root[:, None], 0.0)
     _check_complete(kraus)
-    return probs, states, spectra, kraus, members, outcomes
+    return probs, states, spectra, kraus, members, outcomes, factors
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +612,7 @@ def matrix_from_json(obj) -> np.ndarray:
     rows = obj["rows"]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError("matrix JSON has inconsistent dimensions")
-    m = np.array([[complex(re, im) for re, im in row] for row in rows],
-                 dtype=np.complex128)
-    return m
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
 
 
 def ensemble_to_json(e: Ensemble) -> dict:

@@ -8,8 +8,10 @@ from qbound.bounds import (EQSPEC_TOL, LengthMismatchError, NotPureEnsembleError
                            dual_holevo_rhs, eqspec_check, eqx_rhs,
                            saturation_predicates, spectrum_identity_deviation,
                            sww_rhs)
+from qbound.accinfo import povm_from_vectors
 from qbound.infomeasures import (holevo_chi, info_gain_f, mutual_information,
                                  shannon, subentropy)
+from qbound.matrixcore import hermitize, support_projector
 from qbound.qobjects import (DensityOperator, Ensemble, Measurement,
                              apply_measurement, ensemble_state, pure_state,
                              random_instance)
@@ -178,6 +180,55 @@ class TestEqspec:
 
     def test_satisfied_family_holds_at_444_states(self):
         assert eqspec_check(*eqspec_satisfied_family(444))[0]
+
+    @pytest.mark.parametrize("case", ["family-3", "family-50", "family-444", "counterexample",
+                                      "one-sided", *[f"random-{seed}" for seed in range(12)]])
+    def test_stacked_check_matches_the_pairwise_loop(self, case):
+        if case.startswith("family"):
+            ens, meas = eqspec_satisfied_family(int(case.split("-")[1]))
+        elif case == "counterexample":
+            ens, meas = eqspec_counterexample()
+        elif case == "one-sided":
+            ens, meas = Ensemble([0.5, 0.5], [pure_state(KET0), pure_state(KET1)]), \
+                basis_projectors(2)
+        else:  # random pairs, half of them with rank-one outcomes the scenario draws
+            seed = int(case.split("-")[1])
+            ens, meas = random_instance(2 + seed % 3, 2 + seed % 4, 3, seed % 2 == 0, seed)
+            if seed % 4 < 2:
+                g = np.random.default_rng(seed).normal(size=(2 * ens.dim, ens.dim, 2))
+                meas = povm_from_vectors(g[..., 0] + 1j * g[..., 1])
+        sat, alphas = eqspec_check(ens, meas)
+        want_sat, want_alphas = pairwise_eqspec(ens, meas)
+        assert sat is want_sat
+        np.testing.assert_array_equal(alphas, want_alphas)  # NaN equals NaN here
+
+
+def pairwise_eqspec(ensemble, measurement):
+    """Test-side port of ``eqspec_check`` as a Python loop over the ordered
+    member pairs of each outcome, one norm a pair."""
+    n = ensemble.size
+    alphas = np.full((n, n, measurement.size), np.nan)
+    satisfied = True
+    for j, a in enumerate(measurement.kraus):
+        proj = support_projector(a)
+        comp = [hermitize(proj @ s.matrix @ proj) for s in ensemble.states]
+        traces = [float(np.trace(x).real) for x in comp]
+        for i in range(n):
+            for k in range(n):
+                if i == k:
+                    continue
+                ti, tk = traces[i], traces[k]
+                if ti <= EQSPEC_TOL and tk <= EQSPEC_TOL:
+                    continue
+                if ti <= EQSPEC_TOL or tk <= EQSPEC_TOL:
+                    satisfied = False
+                    continue
+                alpha = ti / tk
+                alphas[i, k, j] = alpha
+                scale = max(1.0, np.linalg.norm(comp[i]), np.linalg.norm(comp[k]))
+                if np.linalg.norm(comp[i] - alpha * comp[k]) > EQSPEC_TOL * scale:
+                    satisfied = False
+    return satisfied, alphas
 
 
 class TestDimensionBound:

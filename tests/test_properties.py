@@ -15,7 +15,8 @@ from qbound.infomeasures import (info_gain_f, mutual_information, shannon, suben
                                  von_neumann)
 from qbound.matrixcore import commutes, operator_rank
 from qbound.qobjects import (PROB_FLOOR, DensityOperator, Ensemble, Measurement, _neg_xlogx,
-                             apply_measurement, coarse_grain, ensemble_state, random_instance)
+                             apply_measurement, coarse_grain, ensemble_state, pure_state,
+                             random_instance)
 from qbound.scenarios import random_diagonal_classical
 
 
@@ -273,3 +274,54 @@ def flag_instances(draw):
 def test_saturation_flags_match_per_pair_checks(instance):
     ens, meas = instance
     assert saturation_predicates(ens, meas) == per_pair_flags(ens, meas)
+
+
+@st.composite
+def near_annihilations(draw):
+    """A complete measurement whose outcome 0 nearly annihilates member 0:
+    E_0 = U diag(δ², ..., δ², s, ...) U† with δ² on the r columns of U that
+    span member 0, δ log-uniform in [1e-8, 1e-3]. Member 0 is the pure state
+    of U's first column (r = 1) or a state of rank r < d on them given as a
+    matrix; the other 1-4 members are drawn pure or mixed; outcomes 1-4 complete the
+    measurement as G_j S^(-1/2) (I - E_0)^(1/2). Returns the instance and the
+    indices of the members made as pure states."""
+    dim = draw(st.integers(2, 6))
+    delta = 10.0 ** draw(st.floats(-8.0, -3.0))
+    rank = draw(st.integers(1, dim - 1))
+    pure_first = rank == 1 and draw(st.booleans())
+    pure_rest = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(dim, rng)
+    if pure_first:
+        first = pure_state(u[:, 0])
+    else:
+        w = rng.uniform(0.2, 1.0, size=rank)
+        first = DensityOperator((u[:, :rank] * (w / w.sum())) @ u[:, :rank].conj().T)
+    rest = random_instance(dim, draw(st.integers(1, 4)), 1, pure_rest, seed)[0]
+    probs = rng.uniform(0.2, 1.0, size=1 + rest.size)
+    e = np.concatenate([np.full(rank, delta ** 2), rng.uniform(0.2, 0.8, size=dim - rank)])
+    g = rng.normal(size=(draw(st.integers(1, 4)), dim, dim, 2)) @ [1.0, 1j]
+    s, v = np.linalg.eigh((g.conj().swapaxes(1, 2) @ g).sum(axis=0))
+    rest_ops = g @ (v / np.sqrt(s)) @ v.conj().T @ (u * np.sqrt(1.0 - e)) @ u.conj().T
+    meas = Measurement([(u * np.sqrt(e)) @ u.conj().T, *rest_ops])
+    ens = Ensemble(probs / probs.sum(), [first, *rest.states])
+    pure = [0] * pure_first + [1 + i for i in range(rest.size) if pure_rest]
+    return ens, meas, pure
+
+
+@given(near_annihilations())
+def test_a_nearly_annihilated_member_is_analysed_without_error(instance):
+    ens, meas, pure = instance
+    a = apply_measurement(meas, ens)
+    rep = bound_report(ens, meas)
+    assert abs(rep.sww - rep.sww_alt) <= 1e-9
+    assert abs(rep.eqx - rep.sww) <= 1e-9
+    assert abs(rep.dual - rep.info_f) <= 1e-9
+    assert rep.spectrum_identity_dev <= 1e-9
+    assert rep.min_slack() >= -1e-8
+    one = [0.0] * (ens.dim - 1) + [1.0]
+    for i in pure:
+        for j in np.flatnonzero(a.cond_probs[:, i] >= PROB_FLOOR):
+            assert a.cond_post_spectra[j, i].tolist() == one
+            assert a.cond_post_entropies[j, i] == 0.0

@@ -313,19 +313,22 @@ class TestRandomInstance:
 def one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed):
     """Reference for ``random_instance``: one normal draw per state and per
     factor, each state formed, normalized and diagonalized on its own.
-    Returns the probabilities, states, spectra, Kraus operators and the
-    number of ill-conditioned redraws."""
+    Returns the probabilities, states, spectra, Kraus operators, the
+    number of ill-conditioned redraws and the member factors: the drawn
+    vector or matrix over its norm, B B† = rho."""
     rng = np.random.default_rng(seed)
     probs = np.diff(np.concatenate(([0.0], np.sort(rng.uniform(size=n_states - 1)), [1.0])))
-    states = []
+    states, members = [], []
     for _ in range(n_states):
         if pure:
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             states.append(np.outer(v, v.conj()) / float(np.vdot(v, v).real))
+            members.append(v[:, None] / np.sqrt(float(np.vdot(v, v).real)))
         else:
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             w = g @ g.conj().T
             states.append(w / np.trace(w).real)
+            members.append(g / np.sqrt(np.trace(w).real))
     spectra = [np.where(e < 0.0, 0.0, e) for e in map(np.linalg.eigvalsh, states)]
     redraws = -1
     while True:
@@ -344,7 +347,7 @@ def one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed):
         if w[0] > 1e-4 * w[-1]:
             break
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return probs, states, spectra, [g @ inv_root for g in factors], redraws
+    return probs, states, spectra, [g @ inv_root for g in factors], redraws, members
 
 
 BATCHED_DRAW_CASES = ([(dim, n_states, n_outcomes, pure, 1000 * dim + n_states)
@@ -355,14 +358,15 @@ BATCHED_DRAW_CASES = ([(dim, n_states, n_outcomes, pure, 1000 * dim + n_states)
 
 @pytest.mark.parametrize("dim, n_states, n_outcomes, pure, seed", BATCHED_DRAW_CASES)
 def test_batched_draws_have_the_bits_of_one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed):
-    probs, states, spectra, kraus, redraws = one_draw_at_a_time(dim, n_states, n_outcomes,
-                                                                pure, seed)
+    probs, states, spectra, kraus, redraws, members = one_draw_at_a_time(
+        dim, n_states, n_outcomes, pure, seed)
     ens, meas = random_instance(dim, n_states, n_outcomes, pure, seed)
     assert ens.probs.tobytes() == probs.tobytes()
     assert np.stack([s.matrix for s in ens.states]).tobytes() == np.stack(states).tobytes()
     assert np.stack([s.eigenvalues for s in ens.states]).tobytes() == np.stack(spectra).tobytes()
     assert meas.kraus_stack.tobytes() == np.stack(kraus).tobytes()
     assert redraws == (seed in (37, 150))
+    assert all(s._factor.tobytes() == b.tobytes() for s, b in zip(ens.states, members))
 
 
 def mutated_states(kind):
@@ -398,16 +402,20 @@ def jobs(draw):
     return draw(st.integers(2, 6)), draw(st.lists(spec, min_size=1, max_size=6))
 
 
-def padded_draw(dim, spec, n_mem, n_out):
-    """``one_draw_at_a_time`` of one spec, zero-padded to ``n_mem`` members
-    and ``n_out`` outcomes, with its member and outcome masks."""
+def padded_draw(dim, spec, n_mem, n_out, width):
+    """``one_draw_at_a_time`` of one spec, zero-padded to ``n_mem`` members,
+    ``n_out`` outcomes and factors ``width`` columns wide, with its member
+    and outcome masks."""
     seed, n_states, n_outcomes, pure = spec
-    drawn = one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed)[:4]
+    *drawn, _, members = one_draw_at_a_time(dim, n_states, n_outcomes, pure, seed)
     padded = (np.zeros(n_mem), np.zeros((n_mem, dim, dim), dtype=complex),
               np.zeros((n_mem, dim)), np.zeros((n_out, dim, dim), dtype=complex))
     for out, arrays in zip(padded, drawn):
         out[:len(arrays)] = arrays
-    return padded + (np.arange(n_mem) < n_states, np.arange(n_out) < n_outcomes)
+    factors = np.zeros((n_mem, dim, width), dtype=complex)
+    for out, b in zip(factors, members):
+        out[:, :b.shape[1]] = b
+    return padded + (np.arange(n_mem) < n_states, np.arange(n_out) < n_outcomes, factors)
 
 
 @given(jobs())
@@ -416,9 +424,11 @@ def padded_draw(dim, spec, n_mem, n_out):
 def test_whole_job_draws_have_the_bits_of_one_draw_at_a_time(job):
     dim, specs = job
     batch = _random_batch(dim, specs)
-    n_mem, n_out = batch[0].shape[1], batch[3].shape[1]
+    n_mem, n_out, width = batch[0].shape[1], batch[3].shape[1], batch[6].shape[-1]
+    assert width == (1 if all(pure for *_, pure in specs) else dim)
     for k, spec in enumerate(specs):
-        for got, want in zip((a[k] for a in batch), padded_draw(dim, spec, n_mem, n_out)):
+        for got, want in zip((a[k] for a in batch), padded_draw(dim, spec, n_mem, n_out, width),
+                             strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

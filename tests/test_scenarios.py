@@ -11,9 +11,9 @@ from qbound.bounds import (_chi_stage, _pair_stack, _reports, _sww_chi_form, _sw
                            saturation_predicates)
 from qbound.cli import main
 from qbound.infomeasures import holevo_chi, info_gain_f, mutual_information, subentropy
-from qbound.qobjects import (Ensemble, Measurement, _clean_spectrum, _random_batch,
-                             apply_measurement, coarse_grain, ensemble_state, ensemble_to_json,
-                             mix_measurements, pure_state, random_instance)
+from qbound.qobjects import (Ensemble, Measurement, _clean_spectrum, _conditional_stage,
+                             _random_batch, apply_measurement, coarse_grain, ensemble_state,
+                             ensemble_to_json, mix_measurements, pure_state, random_instance)
 from qbound.scenarios import (SCENARIOS, InvalidConfigError, Report,
                               ScenarioConfig, UnknownScenarioError, _mc_retry,
                               _retry_seed, emit_report, run_scenario)
@@ -437,7 +437,7 @@ def test_bound_chain_records_are_the_bound_reports_of_the_job(dim, params):
     specs = [(r["seed"], r["n_states"], r["n_outcomes"], r["pure"]) for r in report.records]
     batch = _random_batch(dim, specs)
     reps = _reports(batch, [seed for seed, *_ in specs])
-    chi, stack = _chi_stage(batch)[-1], _pair_stack(batch)
+    chi, stack = _chi_stage(batch)[-1], _conditional_stage(_pair_stack(batch))
     routes = zip(_sww_chi_form(stack, chi).tolist(), _sww_terms_form(stack, chi).tolist())
     eq_tol = cfg.param("eq_tol", 1e-9, float)
     for r, rep, (sww, sww_alt) in zip(report.records, reps, routes):
