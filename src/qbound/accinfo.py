@@ -1,17 +1,18 @@
 """Lower bounds on the accessible information over rank-one POVMs
 Π_k = v_k v_k†, complete when sum_k Π_k = 1, by the iteration of Řeháček,
-Englert and Kaszlikowski (PRA 71, 054303, 2005): w_k = v_k + ε R_k v_k with
-R_k = sum_i p_i ln(tr ρ_i Π_k / tr ρ Π_k) ρ_i, completed again to
-v = G^(-1/2) w with G = sum_k w_k w_k†. All restarts run in lockstep as one
-(B, K, dim) stack. The search is deterministic for a fixed seed, and its
-output is always a certified lower bound (the value of an explicitly
-constructed measurement).
+Englert and Kaszlikowski (PRA 71, 054303, 2005) along conjugate directions
+(Polak and Ribière, 1969): a step moves v along g_k = (R_k − Λ_h) v_k plus β times
+the last direction, with R_k = sum_i p_i ln(tr ρ_i Π_k / tr ρ Π_k) ρ_i and Λ_h the
+Hermitian part of Λ = sum_k R_k Π_k, and completes the result w to v = G^(-1/2) w,
+G = sum_k w_k w_k†. Members enter as factors B_i (ρ_i = B_i B_i†) stacked in one
+(dim, n) matrix F, so tr ρ_i Π_k and R_k v_k are products with F. All restarts run
+in lockstep as one (B, K, dim) stack under a mask of live ones. The search is
+deterministic for a seed; its output is the value of an explicit measurement.
 
-For two equiprobable pure states with overlap s the symmetric projective
-measurement is optimal (Levitin, "Optimal quantum measurements for two pure
-and mixed states", 1995), so the accessible information is ln 2 - H2(p)
-with p = (1 - sqrt(1 - s^2)) / 2. The tests check this closed form against
-a brute-force sweep of projective measurements (``tests/two_state_oracle.py``).
+For two equiprobable pure states with overlap s the symmetric projective measurement
+is optimal (Levitin, "Optimal quantum measurements for two pure and mixed states",
+1995): the accessible information is ln 2 - H2(p), p = (1 - sqrt(1 - s^2)) / 2,
+checked in the tests against a projective sweep (``tests/two_state_oracle.py``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .infomeasures import mutual_information, shannon
-from .qobjects import Ensemble, Measurement, apply_measurement
+from .qobjects import Ensemble, Measurement, _factors, apply_measurement
 
-# Multiples of ε scored in a step, and the shrink of ε when none improves.
-_STEPS, _SHRINK = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]), 1.0 / 16.0
+# Multiples of ε scored in a step, the shrink of ε when none improves, the floor of tr ρ Π_k.
+_STEPS, _SHRINK, _TINY = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]), 1.0 / 16.0, np.finfo(float).tiny
 # Largest counts accepted: a step scores a (restarts, 6, outcomes, dim) stack.
 MAX_BUDGET, MAX_RESTARTS, MAX_OUTCOMES = 10 ** 6, 100, 1024
 
@@ -75,30 +76,43 @@ def povm_from_vectors(vectors) -> Measurement:
     return Measurement(kraus)
 
 
-def _objective(v: np.ndarray, probs: np.ndarray, states: np.ndarray):
+def _check_search(dim: int, n_outcomes: int | None, budget: int, restarts: int) -> int:
+    """Outcome count (default dim²); :class:`SearchConfigError` unless 100 <= budget <=
+    MAX_BUDGET, 1 <= restarts <= min(budget, MAX_RESTARTS) and dim <= outcomes <= MAX_OUTCOMES."""
+    if budget < 100:
+        raise BudgetTooSmallError("budget must be at least 100 evaluations")
+    if budget > MAX_BUDGET or not 1 <= restarts <= min(budget, MAX_RESTARTS):
+        raise SearchConfigError(f"need budget <= {MAX_BUDGET} and restarts in [1, min(budget, "
+                                f"{MAX_RESTARTS})], got budget={budget}, restarts={restarts}")
+    k = n_outcomes if n_outcomes is not None else dim * dim
+    if not dim <= k <= MAX_OUTCOMES:
+        raise SearchConfigError(f"outcomes must lie in [dim={dim}, {MAX_OUTCOMES}], got {k}")
+    return k
+
+
+def _objective(v: np.ndarray, probs: np.ndarray, factors: np.ndarray):
     """Complete each (K, dim) vector stack in v (B, K, dim) to G^(-1/2) v.
     Returns the mutual information of each, or -inf where its rows do not
     span the space, the completed vectors, and the (B, K, I) weights
-    p_i ln(tr ρ_i Π_k / tr ρ Π_k) of ρ_i in R_k, with 0 ln 0 = 0."""
+    p_i ln(tr ρ_i Π_k / tr ρ Π_k) of ρ_i in R_k (0 ln 0 = 0), tr ρ_i Π_k being
+    |F† v_k|² summed over member i's n / I columns. Bit for bit batch-invariant."""
     w, u = np.linalg.eigh(v.swapaxes(1, 2) @ v.conj())
     spans = w[:, 0] > 1e-10 * w[:, -1]
-    w = np.where(spans[:, None], w, 1.0)
-    wv = v @ (u.conj() / np.sqrt(w)[:, None, :]) @ u.swapaxes(1, 2)
-    cond = np.maximum(np.einsum("nja,iab,njb->nji", wv.conj(), states, wv).real, 0.0)
-    ratio = cond / np.maximum(cond @ probs, np.finfo(float).tiny)[..., None]
+    wv = v @ (u.conj() / np.sqrt(np.where(spans[:, None], w, 1.0))[:, None, :]) @ u.swapaxes(1, 2)
+    amps = (wv @ factors.conj()).view(float).reshape(wv.shape[:2] + (probs.size, -1))
+    cond = np.einsum("nkic,nkic->nki", amps, amps)
+    ratio = cond / np.maximum(cond @ probs, _TINY)[..., None]
     weights = probs * np.log(np.where(cond > 0.0, ratio, 1.0))
     return np.where(spans, (cond * weights).sum(axis=(1, 2)), -np.inf), wv, weights
 
 
-def _stationarity(v: np.ndarray, weights: np.ndarray, states: np.ndarray) -> float:
-    """max(‖Λ − Λ†‖, max_k λ_max(R_k − Λ_h)) for the complete vectors v
-    (K, dim) with their ``_objective`` weights, where Λ = sum_k R_k Π_k and
-    Λ_h is its Hermitian part. Holevo's conditions (1973) for an optimal
-    POVM are Λ = Λ† and Λ − R_k ⪰ 0, so the residual is ~0 at an optimum.
-    It is a necessary condition, not a global certificate: the mutual
-    information is convex in the POVM, so a stationary point need not be
-    a maximum."""
-    r = np.einsum("ki,iab->kab", weights, states)
+def _stationarity(v: np.ndarray, weights: np.ndarray, factors: np.ndarray) -> float:
+    """max(‖Λ − Λ†‖, max_k λ_max(R_k − Λ_h)) for the complete vectors v (K, dim) with
+    their ``_objective`` weights, where Λ = sum_k R_k Π_k and Λ_h is its Hermitian part:
+    ~0 at an optimum, by Holevo's conditions (1973) Λ = Λ† and Λ − R_k ⪰ 0. Necessary
+    only: the information is convex in the POVM, so a stationary point need not be a maximum."""
+    wide = np.repeat(weights, factors.shape[1] // weights.shape[1], axis=1)
+    r = (factors * wide[:, None, :]) @ factors.conj().T
     lam = np.einsum("kab,kb,kc->ac", r, v, v.conj())
     top = np.linalg.eigvalsh(r - (lam + lam.conj().T) / 2.0)[:, -1].max()
     return float(max(np.linalg.norm(lam - lam.conj().T), top))
@@ -108,49 +122,51 @@ def maximize_mutual_info(ensemble: Ensemble, n_outcomes: int | None = None,
                          budget: int = 4000, restarts: int = 4,
                          seed: int = 0) -> OptResult:
     """Maximize the index information over rank-one POVMs of ``n_outcomes``
-    outcomes (default dim²) by the Řeháček–Englert–Kaszlikowski iteration.
-    Each step scores every live restart at
-    ε·{1/4, 1/2, 1, 2, 4, 8} in one batched call and keeps its best
-    candidate if it improves; if none does, ε shrinks 16-fold. A restart
-    stops when a step gains less than 1e-14 or ε falls below 1e-12. Every
-    scored candidate is charged to the budget, and a restart takes at most
-    (budget // restarts - 1) // 6 steps, so a larger budget extends the same
-    trajectories and the best value is monotone in the budget. Raises
-    :class:`SearchConfigError` for a budget outside [100, MAX_BUDGET],
-    restarts outside [1, min(budget, MAX_RESTARTS)] or outcomes outside
-    [dim, MAX_OUTCOMES]."""
-    if budget < 100:
-        raise BudgetTooSmallError("budget must be at least 100 evaluations")
-    if budget > MAX_BUDGET or not 1 <= restarts <= min(budget, MAX_RESTARTS):
-        raise SearchConfigError(f"need budget <= {MAX_BUDGET} and restarts in [1, min(budget, "
-                                f"{MAX_RESTARTS})], got budget={budget}, restarts={restarts}")
-    dim = ensemble.dim
-    k = n_outcomes if n_outcomes is not None else dim * dim
-    if not dim <= k <= MAX_OUTCOMES:
-        raise SearchConfigError(f"outcomes must lie in [dim={dim}, {MAX_OUTCOMES}], got {k}")
-    probs = ensemble.probs
-    states = np.stack([s.matrix for s in ensemble.states])
+    outcomes (default dim²) by the REK iteration (2005) along d = g + β d_prev,
+    d_prev the last accepted direction, with Polak–Ribière+ (1969) β = max(0,
+    Re⟨g, g − g_prev⟩ / ‖g_prev‖²), reset to 0 after a step that does not improve
+    and where |Re⟨g, g_prev⟩| ≥ 0.2 ‖g‖² (Powell, Math. Program. 12, 241, 1977).
+    A step scores v + ε·{1/4, …, 8}·d for every restart in one call, and a mask of live
+    restarts decides the rest: a live restart keeps its best candidate if it improves
+    (ε becomes that step) or shrinks ε 16-fold, and stops when a step gains less than
+    1e-14 or ε falls below 1e-12. Each scored candidate of a live restart is charged to
+    the budget, and a restart takes at most (budget // restarts - 1) // 6 steps, so a
+    larger budget extends the same trajectories. Raises as ``_check_search``."""
+    dim, probs = ensemble.dim, ensemble.probs
+    k = _check_search(dim, n_outcomes, budget, restarts)
+    factors = _factors(ensemble.states).transpose(1, 0, 2).reshape(dim, -1)
     rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     start = [(g.normal(size=(k, dim)) + 1j * g.normal(size=(k, dim))) / np.sqrt(2) for g in rngs]
-    val, v, weights = _objective(np.stack(start), probs, states)
+    val, v, weights = _objective(np.stack(start), probs, factors)
     spent, eps, live = restarts, np.ones(restarts), np.isfinite(val)
     trace = [(spent, float(val.max()))] if live.any() else []
+    g_prev = d_prev = np.zeros_like(v)
+    gg_prev, conj, width = np.zeros(restarts), factors.conj(), factors.shape[1] // probs.size
     for _ in range((budget // restarts - 1) // _STEPS.size):
-        idx = np.flatnonzero(live)
-        if not idx.size:
+        if not live.any():
             break
-        rv = np.einsum("nki,iab,nkb->nka", weights[idx], states, v[idx])
-        steps = eps[idx, None] * _STEPS
-        cands = v[idx, None] + steps[:, :, None, None] * rv[:, None]
-        c_val, c_v, c_w = _objective(cands.reshape(-1, k, dim), probs, states)
-        spent += c_val.size
-        rows, pick = np.arange(idx.size), np.argmax(c_val.reshape(-1, _STEPS.size), axis=1)
-        flat = rows * _STEPS.size + pick
-        gain = c_val[flat] - val[idx]
-        up = gain > 0.0
-        val[idx[up]], v[idx[up]], weights[idx[up]] = c_val[flat[up]], c_v[flat[up]], c_w[flat[up]]
-        eps[idx] = np.where(up, steps[rows, pick], eps[idx] * _SHRINK)
-        live[idx] = np.where(up, gain >= 1e-14, eps[idx] >= 1e-12)
+        rv = ((v @ conj) * np.repeat(weights, width, axis=2)) @ factors.T  # R_k v_k
+        lam = rv.swapaxes(1, 2) @ v.conj()
+        g = rv - v @ ((lam.swapaxes(1, 2) + lam.conj()) / 2.0)
+        gf = g.view(float)  # Re⟨x, y⟩ is the dot product of the float views
+        gg, gp = (gf * gf).sum(axis=(1, 2)), (gf * g_prev.view(float)).sum(axis=(1, 2))
+        beta = np.maximum((gg - gp) / np.where(gg_prev > 0.0, gg_prev, 1.0), 0.0)
+        beta = np.where(np.abs(gp) < 0.2 * gg, beta, 0.0)  # Powell's restart test
+        d = g + beta[:, None, None] * d_prev
+        cands = v[:, None] + (eps[:, None] * _STEPS)[:, :, None, None] * d[:, None]
+        c_val, c_v, c_w = _objective(cands.reshape(-1, k, dim), probs, factors)
+        spent += _STEPS.size * np.count_nonzero(live)
+        pick = np.argmax(c_val.reshape(restarts, -1), axis=1)
+        best = np.arange(restarts) * _STEPS.size + pick
+        gain = c_val[best] - val
+        up = live & (gain > 0.0)
+        keep = up[:, None, None]
+        val, v, weights = (np.where(up, c_val[best], val), np.where(keep, c_v[best], v),
+                           np.where(keep, c_w[best], weights))
+        g_prev, gg_prev = np.where(keep, g, g_prev), np.where(up, gg, gg_prev)  # last accepted
+        d_prev = np.where(keep, d, 0.0)  # none, so β = 0, after a step that does not improve
+        eps = np.where(up, eps * _STEPS[pick], eps * _SHRINK)
+        live &= np.where(up, gain >= 1e-14, eps >= 1e-12)
         if val.max() > trace[-1][1]:
             trace.append((spent, float(val.max())))
     best = int(np.argmax(val))
@@ -158,7 +174,7 @@ def maximize_mutual_info(ensemble: Ensemble, n_outcomes: int | None = None,
     value = mutual_information(apply_measurement(measurement, ensemble))
     return OptResult(best_value=value, best_measurement=measurement, trace=trace,
                      restarts=restarts, seed=seed, evaluations=spent,
-                     stationarity=_stationarity(v[best], weights[best], states))
+                     stationarity=_stationarity(v[best], weights[best], factors))
 
 
 def two_state_reference(overlap: float) -> float:

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .accinfo import (SearchConfigError, maximize_mutual_info, povm_from_vectors,
-                      two_state_reference)
+from .accinfo import (SearchConfigError, _check_search, maximize_mutual_info,
+                      povm_from_vectors, two_state_reference)
 from .bounds import (_chain_terms, _chi_stage, _coarse_terms, _corollary_terms, _flags,
                      _padded, _pair_stack, dimension_bound, dual_holevo_rhs, eqspec_check)
 from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
@@ -544,7 +544,10 @@ def _scn_optimize(cfg: ScenarioConfig):
             raise InvalidConfigError(f"invalid ensemble: {exc!r}") from exc
     else:
         n_states = cfg.param("n_states", 2, int)
+        if n_states > 1000:
+            raise InvalidConfigError("n_states must be <= 1000")
         pure = cfg.param("pure", True, bool)
+        _check_search(cfg.dim, n_outcomes, budget, restarts)  # before the draw allocates
         ens, _ = random_instance(cfg.dim, n_states, 2, pure, cfg.seed)
     opt = maximize_mutual_info(ens, n_outcomes=n_outcomes, budget=budget,
                                restarts=restarts, seed=cfg.seed)

@@ -15,7 +15,7 @@ from qbound.accinfo import (MAX_BUDGET, MAX_OUTCOMES, MAX_RESTARTS, BudgetTooSma
 from qbound.bounds import dual_holevo_rhs
 from qbound.haarmc import haar_state, trial_rng
 from qbound.infomeasures import holevo_chi, shannon, subentropy
-from qbound.qobjects import (DensityOperator, Ensemble, ensemble_state,
+from qbound.qobjects import (DensityOperator, Ensemble, _factors, ensemble_state,
                              pure_state, random_instance)
 
 
@@ -199,19 +199,28 @@ def test_search_keeps_its_contract_on_varied_cases(case):
 
 
 def _reference_search(ensemble, n_outcomes, budget, restarts, seed):
-    """The REK iteration one restart and one step size at a time, kept here
-    as the schedule the lockstep search (all restarts, and a window of six
-    step sizes each, scored in one call) must follow. The restarts'
-    histories are merged step by step into the lockstep trace and
-    evaluation count. It scores each candidate by the module's objective on
-    a stack of one, since the 1e-14 stop rule turns on rounding."""
+    """The conjugate-direction REK iteration one restart and one step size
+    at a time, kept here as the schedule the lockstep search (all restarts,
+    and a window of six step sizes each, scored in one call) must follow.
+    Each restart keeps its own projected gradient g = (R_k - Λ_h) v_k, its
+    Polak–Ribière+ coefficient and its resets: after a step that does not
+    improve, and by Powell's test. The restarts' histories are merged step
+    by step into the lockstep trace and evaluation count. It scores each
+    candidate by the module's objective on a stack of one, since the 1e-14
+    stop rule turns on rounding."""
     probs = ensemble.probs
-    states = np.stack([s.matrix for s in ensemble.states])
-    dim = ensemble.dim
+    factors = np.concatenate(list(_factors(ensemble.states)), axis=1)
+    dim, width = ensemble.dim, factors.shape[1] // len(probs)
 
     def objective(v):
-        val, wv, weights = _objective(v[np.newaxis], probs, states)
+        val, wv, weights = _objective(v[np.newaxis], probs, factors)
         return val[0], wv[0], weights[0]
+
+    def gradient(v, weights):
+        """(R_k - Λ_h) v_k, with R_k v_k = sum_i w_ki B_i B_i† v_k."""
+        rv = ((v @ factors.conj()) * np.repeat(weights, width, axis=1)) @ factors.T
+        lam = rv.T @ v.conj()
+        return rv - v @ ((lam.T + lam.conj()) / 2.0)
 
     cap = (budget // restarts - 1) // 6
     finals, histories = [], []
@@ -221,18 +230,28 @@ def _reference_search(ensemble, n_outcomes, budget, restarts, seed):
              + 1j * rng.normal(size=(n_outcomes, dim))) / np.sqrt(2)
         val, v, weights = objective(v)
         eps, live, history = 1.0, math.isfinite(val), [val]
+        g_prev, d_prev = None, None
         while live and len(history) <= cap:
-            rv = np.einsum("ki,iab,kb->ka", weights, states, v)
+            g = gradient(v, weights)
+            d = g
+            gg = np.sum(g.view(float) * g.view(float))
+            if d_prev is not None:
+                gp = np.sum(g.view(float) * g_prev.view(float))
+                beta = (gg - gp) / np.sum(g_prev.view(float) * g_prev.view(float))
+                if abs(gp) < 0.2 * gg:  # Powell's restart test, else β = 0
+                    d = g + max(beta, 0.0) * d_prev
             best = None
             for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-                cand = objective(v + (eps * m) * rv)
+                cand = objective(v + (eps * m) * d)
                 if best is None or cand[0] > best[0][0]:
                     best = (cand, eps * m)
             (c_val, c_v, c_w), step = best
             gain = c_val - val
             if gain > 0.0:
-                val, v, weights, eps, live = c_val, c_v, c_w, step, gain >= 1e-14
+                val, v, weights, eps = c_val, c_v, c_w, step
+                g_prev, d_prev, live = g, d, gain >= 1e-14
             else:
+                d_prev = None
                 eps /= 16.0
                 live = eps >= 1e-12
             history.append(val)
@@ -366,6 +385,20 @@ def test_search_is_deterministic_for_a_seed():
     assert np.array_equal(a.best_measurement.kraus_stack, b.best_measurement.kraus_stack)
 
 
+# The dim-2 pure ensemble of the benchmark's `optimize` job 25 at seed 2, on which the
+# plain REK step zig-zagged and stopped 2.2e-5 nats short at budget 2000: at the job's
+# restarts and twice its budget the search must reach its value at 40 000 evaluations.
+SLOW_ENSEMBLE_SEED = 4906039736883074740
+CONVERGED_TOL = 1e-9
+
+
+def test_search_converges_on_a_slow_benchmark_ensemble():
+    ens, _ = random_instance(2, 2, 2, True, SLOW_ENSEMBLE_SEED)
+    res, ref = (maximize_mutual_info(ens, budget=budget, restarts=2, seed=SLOW_ENSEMBLE_SEED)
+                for budget in (2000, 40000))
+    assert ref.best_value - res.best_value <= CONVERGED_TOL
+
+
 def _holevo_residual(ensemble, measurement):
     """max(|L - L^H|, max_k lambda_max(R_k - (L + L^H)/2)), L = sum_k R_k E_k,
     one outcome at a time from the definitions."""
@@ -396,6 +429,7 @@ def test_stationarity_vanishes_at_the_trine_optimum_only():
     ens = Ensemble(np.full(3, 1 / 3), states)
     res = maximize_mutual_info(ens, budget=20000, restarts=4, seed=0)
     rng = np.random.default_rng(3)
+    factors = np.concatenate(list(_factors(ens.states)), axis=1)
     _, v, weights = _objective(rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2)),
-                               ens.probs, np.stack(states))
-    assert res.stationarity <= 1e-6 < 1e-3 <= _stationarity(v[0], weights[0], np.stack(states))
+                               ens.probs, factors)
+    assert res.stationarity <= 1e-6 < 1e-3 <= _stationarity(v[0], weights[0], factors)

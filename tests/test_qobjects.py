@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qbound import qobjects
 from qbound.bounds import _reports, bound_reports
 from qbound.qobjects import (PROB_FLOOR, PURITY_TOL, DensityOperator, DimensionMismatchError,
-                             _checked_spectra, _random_batch, EmptyGroupError, Ensemble,
+                             _checked_spectra, _factors, _random_batch, EmptyGroupError, Ensemble,
                              Measurement, apply_measurement, coarse_grain, ensemble_from_json,
                              ensemble_state, ensemble_to_json, matrix_from_json,
                              matrix_to_json, measurement_from_json,
@@ -511,3 +511,19 @@ class TestJson:
         assert back.groups == ((1,), (0,))
         for a1, a2 in zip(back.kraus, meas.kraus):
             np.testing.assert_array_equal(a1, a2)
+
+
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_a_pure_state_given_as_a_matrix_takes_the_pure_path(dim):
+    """Its factor is one column, so an efficient measurement gives it the exact
+    conditional spectra {0, ..., 0, 1} of the same state made by ``pure_state``."""
+    rng = np.random.default_rng(dim)
+    kets = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    given = [DensityOperator(np.outer(k, k.conj())) for k in kets]
+    assert _factors(given).shape == (4, dim, 1)
+    meas = random_instance(dim, 1, 3, True, dim)[1]
+    probs = np.full(4, 0.25)
+    ours, exact = (apply_measurement(meas, Ensemble(probs, states))
+                   for states in (given, [pure_state(k) for k in kets]))
+    assert np.array_equal(ours.cond_post_spectra, exact.cond_post_spectra)

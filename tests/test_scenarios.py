@@ -424,6 +424,9 @@ _QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_st
     ["scenario", "two-state-accinfo", "--param", "budget=1000001"],
     ["scenario", "two-state-accinfo", "--param", "restarts=101"],
     ["scenario", "eqspec-recovery", "--param", "opt_restarts=101"],
+    # checked before the ensemble is drawn (the draw alone would need terabytes)
+    ["optimize", "--dim", "1000000"],
+    ["optimize", "--param", "n_states=1000000000000000"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
