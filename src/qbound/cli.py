@@ -10,7 +10,7 @@ Subcommands:
 Reports go to stdout (or ``--out``) as JSON or CSV. The exit code is 0
 iff the scenario recorded zero failures; invalid input (scenario name,
 a ``--param`` key the scenario does not read or a malformed value, seed,
-tolerance, trial count, ``--ensemble`` file, search budget, restarts,
+tolerance, trial count or dimension, ``--ensemble`` file, search budget, restarts,
 outcome count or an ``--out`` path that cannot be written) prints
 ``error: ...``, code 2. ``optimize`` with an ensemble draws none, so
 ``n_states`` and ``pure`` beside it are invalid input too.

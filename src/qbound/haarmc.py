@@ -1,14 +1,14 @@
 """Haar-measure sampling and Monte Carlo checks of the uniform-ensemble
 identities.
 
-Reproducibility contract: trial ``t`` of a run seeded with ``seed`` draws
-from a counter-based Philox generator keyed by the exact uint64 pair
-``(seed mod 2**64, t)``, trials run serially in chunks of ``_CHUNK``, and
-reductions accumulate in trial order, chunk by chunk, so results are
-bit-identical for a seed. A chunk draws all its trials' normals at once
-with ``keyed_normals`` (array Philox and numpy's ziggurat, in ``philox``)
-and takes each norm from ``_norms``, one stacked expression that
-``haar_state`` shares: row t is ``haar_state(dim, trial_rng(seed, t))``.
+Reproducibility contract: a run draws its trials serially in chunks of
+``_CHUNK``. Chunk c draws its m rows with one
+``trial_rng(seed, c).standard_normal((m, 2 * dim))`` call (Philox keyed by
+the exact uint64 pair ``(seed mod 2**64, c)``), real parts first, and
+redraws a row of norm <= 1e-12 from the same generator after the chunk's
+rows, in row order. Reductions accumulate in trial order, so results are
+bit-identical for a seed, and a row does not depend on the trials after
+it (a redrawn row excepted). Another ``_CHUNK`` keys other streams.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 
 from .infomeasures import _subentropies, shannon, subentropy
 from .matrixcore import sqrt_psd
-from .philox import keyed_normals
 from .qobjects import PROB_FLOOR, DensityOperator, Measurement, _checked_spectra
 
-_CHUNK = 4096
+_CHUNK = 4096  # trials per keyed stream; part of the determinism contract
 _MASK64 = (1 << 64) - 1
 
 
@@ -40,8 +39,8 @@ class MCEstimate:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one trial, keyed by the exact uint64 pair
-    (seed mod 2**64, trial mod 2**64)."""
+    """Counter-based generator keyed by the exact uint64 pair (seed mod 2**64,
+    trial mod 2**64); the Monte Carlo estimators key chunk c by (seed, c)."""
     key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -50,11 +49,7 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector: normalized vector of standard complex Gaussians."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    while True:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        nrm = _norms(v)
-        if nrm > 1e-12:
-            return v / nrm
+    return _haar_rows(dim, rng, 1)[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,12 +60,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d)).conj()
 
 
-def _haar_block(dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Rows ``haar_state(dim, trial_rng(seed, t))`` for ``t`` in [lo, hi), bit
-    for bit: ``keyed_normals`` draws each trial's 2*dim normals from its keyed
-    Philox, and ``_unit_rows`` divides by the norm haar_state shares."""
-    draws = keyed_normals(seed, lo, hi, 2 * dim)
-    return _unit_rows(draws[:, :dim] + 1j * draws[:, dim:], seed, lo)
+def _haar_rows(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-random unit rows from one ``standard_normal((n, 2 * dim))``
+    call: real parts first, then imaginary parts. A row of norm <= 1e-12 is
+    redrawn from ``rng`` after all n rows, in row order."""
+    draws = rng.standard_normal((n, 2 * dim))
+    z = draws[:, :dim] + 1j * draws[:, dim:]
+    nrm = _norms(z)
+    psi = z / np.where(nrm > 1e-12, nrm, 1.0)[:, None]
+    for i in np.flatnonzero(nrm <= 1e-12).tolist():
+        psi[i] = _haar_rows(dim, rng, 1)[0]
+    return psi
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -78,19 +78,10 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=-1))
 
 
-def _unit_rows(z: np.ndarray, seed: int, lo: int) -> np.ndarray:
-    """Divide each row of ``z`` by its norm, the stacked ``_norms`` that
-    haar_state shares. Row i of norm <= 1e-12 is trial lo + i's first draw,
-    which haar_state rejects and redraws."""
-    nrm = _norms(z)
-    psi = z / np.where(nrm > 1e-12, nrm, 1.0)[:, None]
-    for i in np.flatnonzero(nrm <= 1e-12).tolist():
-        psi[i] = haar_state(z.shape[1], trial_rng(seed, lo + i))
-    return psi
-
-
-def _chunks(trials: int):
-    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+def _chunk_rows(dim: int, seed: int, trials: int):
+    """The Haar rows of each chunk of a run in turn: chunk c from trial_rng(seed, c)."""
+    for c, lo in enumerate(range(0, trials, _CHUNK)):
+        yield _haar_rows(dim, trial_rng(seed, c), min(_CHUNK, trials - lo))
 
 
 def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -> MCEstimate:
@@ -111,16 +102,14 @@ def uniform_ensemble_info_mc(measurement: Measurement, trials: int, seed: int) -
 
     e_row = es.transpose(1, 0, 2).reshape(dim, -1)  # [d, j * dim + e] = E_j[d, e]
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        psi = _haar_block(dim, seed, lo, hi)
-        bra_e = (psi.conj() @ e_row).reshape(hi - lo, -1, dim)  # <psi| E_j
-        probs = np.einsum("tje,te->tj", bra_e, psi).real
-        probs = np.clip(probs, 0.0, None)
+    def run(psi: np.ndarray) -> np.ndarray:
+        bra_e = (psi.conj() @ e_row).reshape(len(psi), -1, dim)  # <psi| E_j
+        probs = np.clip(np.einsum("tje,te->tj", bra_e, psi).real, 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
         return -terms.sum(axis=1)
 
-    h = np.concatenate([run(lo, hi) for lo, hi in _chunks(trials)])
+    h = np.concatenate([run(psi) for psi in _chunk_rows(dim, seed, trials)])
     return MCEstimate(mean=h_prior - float(h.mean()),
                       std_error=float(h.std(ddof=1) / np.sqrt(trials)),
                       trials=trials, seed=seed)
@@ -177,19 +166,24 @@ def distorted_moments_mc(rho_prime: DensityOperator, unitary: np.ndarray,
     if trials < 2:
         raise ValueError("need at least 2 trials")
     dim = rho_prime.dim
-    bmat = sqrt_psd(rho_prime.matrix) @ unitary
+    bmat = np.sqrt(dim) * sqrt_psd(rho_prime.matrix) @ unitary
 
-    def run(lo: int, hi: int):
-        phi = _haar_block(dim, seed, lo, hi) @ bmat.T
-        outer = dim * np.einsum("ta,tb->tab", phi, phi.conj())
-        w = dim * np.einsum("ta,ta->t", phi, phi.conj()).real
-        re, im = outer.real, outer.imag
-        return (re.sum(axis=0), im.sum(axis=0),
-                (re * re).sum(axis=0), (im * im).sum(axis=0),
-                w.sum(), (w * w).sum())
+    def run(psi: np.ndarray):
+        """A chunk's sums of phi phi† (Re, Im and their squares) and of |phi|²,
+        phi = sqrt(dim) B psi = x + iy: Re = xᵀx + yᵀy, Im = yᵀx − xᵀy, and
+        the squares from the blocks of [x², y²]ᵀ[x², y²] and from (xy)ᵀ(xy)."""
+        phi = psi @ bmat.T
+        x, y = phi.real, phi.imag
+        yx, sq, xy = y.T @ x, np.hstack([x * x, y * y]), x * y
+        quad, cross = sq.T @ sq, xy.T @ xy
+        sq_im = quad[:dim, dim:] + quad[dim:, :dim] - 2.0 * cross
+        np.fill_diagonal(sq_im, 0.0)  # Im of phi_a conj(phi_a) is 0, not roundoff
+        w = sq.sum(axis=1)
+        return (x.T @ x + y.T @ y, yx - yx.T, quad[:dim, :dim] + quad[dim:, dim:] + 2.0 * cross,
+                sq_im, w.sum(), w @ w)
 
     sum_re, sum_im, sq_re, sq_im, sum_w, sq_w = (
-        sum(col) for col in zip(*(run(lo, hi) for lo, hi in _chunks(trials))))
+        sum(col) for col in zip(*map(run, _chunk_rows(dim, seed, trials))))
 
     def stderr(s, sq):
         var = (sq - s * s / trials) / (trials - 1)

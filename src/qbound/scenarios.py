@@ -21,7 +21,7 @@ from .accinfo import (SearchConfigError, _check_search, maximize_mutual_info,
                       povm_from_vectors, two_state_reference)
 from .bounds import (_chain_terms, _chi_stage, _coarse_terms, _corollary_terms, _flags,
                      _padded, _pair_stack, dimension_bound, dual_holevo_rhs, eqspec_check)
-from .haarmc import (distorted_moments_mc, haar_moment_mc, haar_unitary,
+from .haarmc import (_CHUNK, distorted_moments_mc, haar_moment_mc, haar_unitary,
                      uniform_ensemble_info_exact, uniform_ensemble_info_mc)
 from .infomeasures import _info_f, _info_i, holevo_chi, shannon, subentropy
 from .qobjects import (DensityOperator, Ensemble, Measurement, _check_complete, _random_batch,
@@ -44,6 +44,14 @@ NATS_KEYS = frozenset({
 
 # Fewest trials the Monte Carlo estimators accept; every scenario needs one.
 _MIN_TRIALS = {"uniform-theorem": 100, "distorted-ensemble": 2, "haar": 2}
+
+# Memory budget of a Monte Carlo job, which caps its counts before any draw:
+# half for one chunk of _CHUNK trials at <= 32·dim² bytes a trial (the
+# <psi|E_j stack of uniform-theorem's basis measurement, ~18·dim² measured),
+# half for uniform-theorem's entropies of a 4x retry, 8 bytes a trial, twice.
+_MC_BUDGET = 2 ** 30
+_MAX_MC_DIM = math.isqrt(_MC_BUDGET // 2 // (32 * _CHUNK))  # 64
+_MAX_MC_TRIALS = _MC_BUDGET // 2 // (4 * 8 * 2)  # 2**23
 
 
 class UnknownScenarioError(ValueError):
@@ -77,6 +85,9 @@ class ScenarioConfig:
         min_trials = _MIN_TRIALS.get(self.name, 1)
         if self.trials < min_trials:
             raise InvalidConfigError(f"{self.name} needs trials >= {min_trials}")
+        if self.name in _MIN_TRIALS and (self.trials > _MAX_MC_TRIALS or self.dim > _MAX_MC_DIM):
+            raise InvalidConfigError(
+                f"{self.name} needs trials <= {_MAX_MC_TRIALS} and dim <= {_MAX_MC_DIM}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidConfigError("tol must be finite and positive")
         if self.units not in ("nats", "bits"):

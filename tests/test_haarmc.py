@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from qbound.haarmc import (_CHUNK, MCEstimate, _haar_block, _norms, _unit_rows,
+from qbound.haarmc import (_CHUNK, MCEstimate, _chunk_rows, _haar_rows, _norms,
                            distorted_moments_mc, distorted_sample, haar_moment_mc, haar_state,
                            haar_unitary, trial_rng, uniform_ensemble_info_exact,
                            uniform_ensemble_info_mc)
@@ -65,40 +65,86 @@ def test_seeds_above_2_63_key_distinct_streams(a, b):
     assert not np.array_equal(ma.mean_state, mb.mean_state)
 
 
+def run_rows(dim, seed, trials):
+    """The Haar rows of a ``trials``-trial run, chunk by chunk as the estimators draw them."""
+    return np.concatenate(list(_chunk_rows(dim, seed, trials)))
+
+
+class ZeroRow:
+    """A generator whose first block comes back with row ``row`` zeroed;
+    every later draw, and every draw's place in the stream, is the wrapped one's."""
+
+    def __init__(self, rng, row):
+        self.rng, self.row = rng, row
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.row is not None:
+            out[self.row], self.row = 0.0, None
+        return out
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 62 + 17, 2 ** 63 + 5])
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_chunk_drawer_is_bit_identical_to_haar_state(dim, seed):
-    for lo, hi in ((0, 7), (_CHUNK - 4, _CHUNK + 3), (2 * _CHUNK - 1, 2 * _CHUNK + 1)):
-        ref = np.array([haar_state(dim, trial_rng(seed, t)) for t in range(lo, hi)])
-        assert np.array_equal(_haar_block(dim, seed, lo, hi).view(np.uint64),
-                              ref.view(np.uint64))
+    """Chunk c's rows are haar_state drawn trial by trial from one generator,
+    trial_rng(seed, c): a chunk takes its rows from the stream in order."""
+    for lo, hi in ((0, 7), (_CHUNK, _CHUNK + 3), (2 * _CHUNK, 2 * _CHUNK + 1)):
+        rng = trial_rng(seed, lo // _CHUNK)
+        ref = np.array([haar_state(dim, rng) for _ in range(lo, hi)])
+        assert np.array_equal(run_rows(dim, seed, hi)[lo:].view(np.uint64), ref.view(np.uint64))
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 64 - 1), st.integers(0, 3 * _CHUNK - 1),
+       st.integers(1, 3 * _CHUNK))
+def test_a_row_does_not_depend_on_the_trials_after_it(dim, seed, t, more):
+    """Row t of a T-trial run is the same for every T > t, across chunk boundaries."""
+    short, longer = run_rows(dim, seed, t + 1), run_rows(dim, seed, t + more)
+    assert np.array_equal(short[t].view(np.uint64), longer[t].view(np.uint64))
 
 
 def test_a_row_of_norm_zero_is_redrawn_by_haar_state():
-    dim, seed, lo = 3, 2 ** 63 + 5, 40
-    z = _haar_block(dim, seed, lo, lo + 4) * 2.5
-    z[2] = 0.0
-    psi = _unit_rows(z, seed, lo)
-    assert np.array_equal(psi[2], haar_state(dim, trial_rng(seed, lo + 2)))
-    for i in (0, 1, 3):
-        np.testing.assert_array_equal(psi[i], z[i] / np.linalg.norm(z[i]))
+    """A row of norm zero is redrawn from the chunk's own generator after
+    the chunk's rows: it is the next haar_state draw of that generator."""
+    dim, seed, n = 3, 2 ** 63 + 5, 40
+    psi = _haar_rows(dim, ZeroRow(trial_rng(seed, 0), 2), n)
+    rng = trial_rng(seed, 0)
+    ref = _haar_rows(dim, rng, n)
+    assert np.array_equal(psi[2], haar_state(dim, rng))
+    for i in (0, 1, *range(3, n)):
+        assert np.array_equal(psi[i].view(np.uint64), ref[i].view(np.uint64))
 
 
 def test_live_rows_are_divided_by_the_shared_norm():
-    dim, seed, lo = 4, 2 ** 62 + 9, 100
-    z = _haar_block(dim, seed, lo, lo + 6) * np.array([1e-3, 0.7, 1.0, 3.0, 1e3, 1.0])[:, None]
-    z[5] = 0.0
-    psi = _unit_rows(z, seed, lo)
+    dim, seed, n = 4, 2 ** 62 + 9, 6
+    scale = np.array([1e-3, 0.7, 1.0, 3.0, 1e3, 1.0])[:, None]
+
+    class Scaled(ZeroRow):
+        def standard_normal(self, size):
+            out = super().standard_normal(size)
+            return out * scale if np.shape(out) == (n, 2 * dim) else out
+
+    psi = _haar_rows(dim, Scaled(trial_rng(seed, 1), 5), n)
+    rng = trial_rng(seed, 1)
+    draws = rng.standard_normal((n, 2 * dim)) * scale
+    z = draws[:, :dim] + 1j * draws[:, dim:]
     nrm = _norms(z)
     for i in range(5):
         assert np.array_equal(psi[i].view(np.uint64), (z[i] / nrm[i]).view(np.uint64))
-    assert np.array_equal(psi[5], haar_state(dim, trial_rng(seed, lo + 5)))
+    assert np.array_equal(psi[5], haar_state(dim, rng))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_a_haar_amplitude_squared_is_beta_distributed(dim):
+    """|psi_1|² of a Haar-random unit vector in C^dim is Beta(1, dim - 1)."""
+    y = np.abs(run_rows(dim, 2024, 3 * _CHUNK + 11)[:, 0]) ** 2
+    assert stats.kstest(y, stats.beta(1, dim - 1).cdf).pvalue > 0.01
 
 
 @given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_the_shared_norm_is_batch_invariant(n, dim, seed):
     """A row's norm does not depend on the rows stacked with it, so the chunk
-    drawer and haar_state agree bit for bit."""
+    drawer and haar_state, a stack of one, agree bit for bit."""
     g = np.random.default_rng(seed)
     z = g.normal(size=(n, dim)) + 1j * g.normal(size=(n, dim))
     z *= 10.0 ** g.uniform(-3, 3, size=(n, 1))
@@ -146,7 +192,7 @@ class TestUniformEnsembleInfo:
         for Haar-random psi; it shares no code with the subentropy quadrature.
         By unitary invariance rho may be diagonal."""
         lam = np.random.default_rng(seed).dirichlet(np.ones(dim))
-        y = np.abs(_haar_block(dim, seed, 0, 200_000)) ** 2 @ lam
+        y = np.abs(_haar_rows(dim, trial_rng(seed, 0), 200_000)) ** 2 @ lam
         samples = -dim * y * np.log(y) - math.fsum(1.0 / k for k in range(2, dim + 1))
         est = MCEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(len(samples)),
                          len(samples), seed)
@@ -232,16 +278,22 @@ class TestDistorted:
 
 
 @pytest.mark.parametrize("trials", [_CHUNK + 5, 2 * _CHUNK + 3])
-def test_estimators_follow_the_per_trial_streams_across_chunks(trials):
-    """Both estimators equal a one-trial-at-a-time port that draws trial t
-    from haar_state(dim, trial_rng(seed, t)), over runs that end in a
-    partial chunk."""
+def test_estimators_follow_the_chunk_streams_one_trial_at_a_time(trials):
+    """Both estimators equal a one-trial-at-a-time port that reads chunk c's
+    rows with haar_state from one generator, trial_rng(seed, c), over runs
+    that end in a partial chunk; it checks the moments' matmul sums too."""
     dim, seed = 3, 11
+
+    def port_states():
+        for t in range(trials):
+            if t % _CHUNK == 0:
+                rng = trial_rng(seed, t // _CHUNK)
+            yield haar_state(dim, rng)
+
     _, meas = random_instance(dim, 1, 4, True, 5)
     es = [a.conj().T @ a for a in meas.kraus]
     h = []
-    for t in range(trials):
-        psi = haar_state(dim, trial_rng(seed, t))
+    for psi in port_states():
         probs = [max(np.vdot(psi, e @ psi).real, 0.0) for e in es]
         h.append(-math.fsum(p * math.log(p) for p in probs if p > 0.0))
     mean_h = math.fsum(h) / trials
@@ -256,8 +308,8 @@ def test_estimators_follow_the_per_trial_streams_across_chunks(trials):
     unitary = haar_unitary(dim, g)
     bmat = sqrt_psd(rho.matrix) @ unitary
     outer, weight = [], []
-    for t in range(trials):
-        phi = bmat @ haar_state(dim, trial_rng(seed, t))
+    for psi in port_states():
+        phi = bmat @ psi
         outer.append(dim * np.outer(phi, phi.conj()))
         weight.append(dim * np.vdot(phi, phi).real)
     entries = np.array(outer).reshape(trials, -1).T
@@ -265,3 +317,11 @@ def test_estimators_follow_the_per_trial_streams_across_chunks(trials):
     moments = distorted_moments_mc(rho, unitary, trials, seed)
     assert np.abs(moments.mean_state.ravel() - mean_state / trials).max() <= 1e-14
     assert abs(moments.weight_mean - math.fsum(weight) / trials) <= 1e-14
+
+    def stderr(xs):
+        mean = math.fsum(xs) / trials
+        return math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (trials - 1) / trials)
+
+    assert np.abs(moments.stderr_real.ravel() - [stderr(x.real) for x in entries]).max() <= 1e-14
+    assert np.abs(moments.stderr_imag.ravel() - [stderr(x.imag) for x in entries]).max() <= 1e-14
+    assert abs(moments.weight_stderr - stderr(weight)) <= 1e-14

@@ -301,7 +301,7 @@ def test_monte_carlo_retry_keys_a_stream_disjoint_from_the_first_pass():
 
 
 def test_a_retried_monte_carlo_job_reproduces_its_report():
-    cfg = ScenarioConfig("haar", dim=2, trials=50, seed=167)  # this seed misses, then retries
+    cfg = ScenarioConfig("haar", dim=2, trials=50, seed=76)  # this seed misses, then retries
     first, again = run_scenario(cfg).to_dict(), run_scenario(cfg).to_dict()
     assert first["records"][0]["retried"] and first["records"][0]["trials"] == 200
     first.pop("walltime_ms"), again.pop("walltime_ms")
@@ -427,6 +427,13 @@ _QUBIT_PAIR = ensemble_to_json(Ensemble([0.5, 0.5], [pure_state([1, 0]), pure_st
     # checked before the ensemble is drawn (the draw alone would need terabytes)
     ["optimize", "--dim", "1000000"],
     ["optimize", "--param", "n_states=1000000000000000"],
+    # the Monte Carlo counts are capped before any draw
+    ["haar", "--trials", "8388609"],
+    ["haar", "--dim", "65"],
+    ["scenario", "uniform-theorem", "--trials", "100000000000"],
+    ["scenario", "uniform-theorem", "--dim", "65", "--param", "povm=random"],
+    ["scenario", "distorted-ensemble", "--trials", "8388609"],
+    ["scenario", "distorted-ensemble", "--dim", "1000000"],
 ])
 def test_cli_rejects_malformed_scenario_params(args, capsys):
     _assert_input_error(main(args), capsys)
